@@ -3,6 +3,7 @@ package classifier
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"flowvalve/internal/fvassert"
 	"flowvalve/internal/headers"
@@ -15,9 +16,9 @@ import (
 // analogue of the NP's dedicated lookup engines (the 10× classification
 // speedup the paper credits, §III-B). NIC worker cores classify in
 // parallel: the hit path is lock-free (one hash, a bounded linear probe
-// over atomic entry pointers, one reference-bit store), while the miss
-// path — parser plus p4lite table walk plus insertion — serializes per
-// shard, never globally. Capacity is fixed at construction; a full probe
+// over atomic entry pointers, one reference-bit store, one add to a
+// striped hit count), while the miss path — parser plus p4lite table
+// walk plus insertion — serializes per shard, never globally. Capacity is fixed at construction; a full probe
 // window evicts with CLOCK (second-chance), so a million-flow working
 // set churns through the cache instead of growing it without bound.
 
@@ -29,8 +30,9 @@ type CacheConfig struct {
 	// window; Capacity in CacheStats reports the effective value.
 	Size int
 	// Shards is the number of independent shards (rounded up to a power
-	// of two). More shards admit more concurrent miss-path walks and
-	// spread hit-counter contention.
+	// of two). More shards admit more concurrent miss-path walks; the
+	// hit path takes no shard lock and writes no shard state, so the
+	// shard count does not affect hit-path contention.
 	Shards int
 }
 
@@ -41,9 +43,13 @@ const (
 	// as the CLOCK eviction window of an insert: a key lives within
 	// cacheProbeWindow slots of its home position or not at all.
 	cacheProbeWindow = 16
-	// shardPad keeps each shard's hot hit counter on its own cache line
-	// so parallel hit paths do not false-share.
-	shardPad = 64
+	// cacheLine is the false-sharing unit the hit-count lanes pad to.
+	cacheLine = 64
+	// hitLanes is the hit count's stripe fan-out. A goroutine's lane
+	// comes from hashing a stack address, so two concurrent workers
+	// share a lane with probability ≈ 1/hitLanes.
+	hitLaneBits = 6
+	hitLanes    = 1 << hitLaneBits
 )
 
 func (c CacheConfig) defaults() CacheConfig {
@@ -101,12 +107,10 @@ type cacheEntry struct {
 // key that probed past it); inserts reuse it.
 var tombstone = &cacheEntry{}
 
-// cacheShard is one lock-striped slice of the table. The hit path
-// touches only slots and hits; everything else happens under mu.
+// cacheShard is one lock-striped slice of the table. The hit path only
+// reads slots (hits are counted in the cache-wide hitCount); everything
+// else happens under mu.
 type cacheShard struct {
-	hits atomic.Uint64
-	_    [shardPad - 8]byte
-
 	misses atomic.Uint64
 	evict  atomic.Uint64
 	inval  atomic.Uint64
@@ -121,12 +125,61 @@ type cacheShard struct {
 	scratch [headers.MaxStackLen]byte
 }
 
+// hitLane is one stripe of the hit count, padded to a full cache line so
+// no two lanes share one.
+type hitLane struct {
+	n atomic.Uint64
+	_ [cacheLine - 8]byte
+}
+
+// hitCount is a striped hit counter. A single counter — even one per
+// shard — is written by every core that hits, so its cache line
+// migrates between cores on almost every hit and parallel workers
+// together do less than one alone. Each goroutine instead adds to the
+// lane its stack address hashes to, which stays on that core's cache;
+// the sum over lanes is exact.
+type hitCount struct {
+	lanes [hitLanes]hitLane
+}
+
+// add counts one hit on the calling goroutine's lane. The lane is only a
+// hint — any lane is correct, a shared one merely contends. Stacks are
+// allocated at fixed size-class strides, so the address's low bits are
+// the same in every goroutine at the same call depth; the Fibonacci
+// multiply folds every bit into the top bits that pick the lane.
+//
+//fv:hotpath
+func (hc *hitCount) add() {
+	var b byte
+	a := uint64(uintptr(unsafe.Pointer(&b)))
+	hc.lanes[a*0x9e3779b97f4a7c15>>(64-hitLaneBits)].n.Add(1)
+}
+
+func (hc *hitCount) load() uint64 {
+	var n uint64
+	for i := range hc.lanes {
+		n += hc.lanes[i].n.Load()
+	}
+	return n
+}
+
+func (hc *hitCount) reset() {
+	for i := range hc.lanes {
+		hc.lanes[i].n.Store(0)
+	}
+}
+
 // flowCache is the sharded table.
 type flowCache struct {
+	// Read by every lookup, written only at construction.
 	shards    []cacheShard
 	shardMask uint64
 	slotMask  uint64 // per-shard slot count − 1
 	capacity  int
+	// The pad keeps the first hit lane off the line holding the
+	// read-only fields above, so hit-count writes never invalidate it.
+	_    [cacheLine]byte
+	hits hitCount
 }
 
 func newFlowCache(cfg CacheConfig) *flowCache {
@@ -194,7 +247,7 @@ func (fc *flowCache) get(key uint64) (sh *cacheShard, lbl *tree.Label, ok bool) 
 			if e.ref.Load() == 0 {
 				e.ref.Store(1)
 			}
-			sh.hits.Add(1)
+			fc.hits.add()
 			return sh, e.lbl, true
 		}
 	}
@@ -343,7 +396,6 @@ func (fc *flowCache) flush() {
 			}
 		}
 		sh.hand = 0
-		sh.hits.Store(0)
 		sh.misses.Store(0)
 		sh.evict.Store(0)
 		sh.inval.Store(0)
@@ -351,14 +403,14 @@ func (fc *flowCache) flush() {
 		sh.neg.Store(0)
 		sh.mu.Unlock()
 	}
+	fc.hits.reset()
 }
 
-// stats aggregates the shard counters.
+// stats aggregates the shard counters and the hit-count lanes.
 func (fc *flowCache) stats() CacheStats {
-	st := CacheStats{Capacity: fc.capacity, Shards: len(fc.shards)}
+	st := CacheStats{Capacity: fc.capacity, Shards: len(fc.shards), Hits: fc.hits.load()}
 	for i := range fc.shards {
 		sh := &fc.shards[i]
-		st.Hits += sh.hits.Load()
 		st.Misses += sh.misses.Load()
 		st.Evictions += sh.evict.Load()
 		st.Invalidations += sh.inval.Load()

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"flowvalve/internal/packet"
@@ -205,6 +206,92 @@ func TestCacheConcurrentTorture(t *testing.T) {
 	}
 }
 
+// The striped hit count stays exact under concurrency: with lookups
+// (and batch followers) from several goroutines spread over its lanes,
+// Hits+Misses equals the lookups made and Hits the lookups past the
+// warm-up misses — a lane lost or counted twice breaks the sum — and
+// Flush zeroes every lane.
+func TestCacheHitCountExactUnderConcurrency(t *testing.T) {
+	tr := testTree(t)
+	c, _ := New(tr, []Rule{{App: AnyApp, Flow: AnyFlow, Class: "a"}}, "")
+	const hot = 512
+	for f := 0; f < hot; f++ {
+		c.Lookup(pkt(0, packet.FlowID(f)))
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != hot {
+		t.Fatalf("warm-up: hits=%d misses=%d, want 0/%d", st.Hits, st.Misses, hot)
+	}
+	workers := runtime.GOMAXPROCS(0)
+	if workers < 4 {
+		workers = 4
+	}
+	const perWorker = 40_000
+	const burst = 8 // one probe plus seven same-flow batch followers
+	var wg sync.WaitGroup
+	var missed atomic.Bool
+	start := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			p := pkt(0, 0)
+			batch := make([]*packet.Packet, burst)
+			for j := range batch {
+				batch[j] = pkt(0, 0)
+			}
+			lbls, hits := makeLabels(burst), make([]bool, burst)
+			for i := 0; i < perWorker; i += burst {
+				f := packet.FlowID((i/burst*7 + w) % hot)
+				if w%2 == 0 {
+					for j := 0; j < burst; j++ {
+						p.Flow = (f + packet.FlowID(j)) % hot
+						if _, hit := c.Lookup(p); !hit {
+							missed.Store(true)
+						}
+					}
+					continue
+				}
+				for _, bp := range batch {
+					bp.Flow = f
+				}
+				c.ClassifyBatch(batch, lbls, hits)
+				for _, h := range hits {
+					if !h {
+						missed.Store(true)
+					}
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if missed.Load() {
+		t.Fatal("a warmed flow missed: the working set no longer fits the cache")
+	}
+	lookups := uint64(hot + workers*perWorker)
+	st := c.Stats()
+	if st.Hits+st.Misses != lookups {
+		t.Fatalf("hits+misses = %d+%d = %d, want %d lookups", st.Hits, st.Misses, st.Hits+st.Misses, lookups)
+	}
+	if st.Hits != lookups-hot {
+		t.Fatalf("hits = %d, want %d (lookups minus %d warm-up misses)", st.Hits, lookups-hot, hot)
+	}
+	used := 0
+	for i := range c.cache.hits.lanes {
+		if c.cache.hits.lanes[i].n.Load() != 0 {
+			used++
+		}
+	}
+	if used < 2 {
+		t.Fatalf("%d workers' hits all landed on %d lane(s): the exactness check never summed across lanes", workers, used)
+	}
+	c.Flush()
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("after Flush: hits=%d misses=%d, want 0/0", st.Hits, st.Misses)
+	}
+}
+
 // The hit path must not allocate: it is the NIC worker's per-packet fast
 // path (acceptance: 0 allocs/op).
 func TestClassifyHitNoAllocs(t *testing.T) {
@@ -266,7 +353,8 @@ func TestClassifyHitParallelScales(t *testing.T) {
 }
 
 // BenchmarkClassifyHit measures the lock-free hit path; with RunParallel
-// it should scale with GOMAXPROCS (shards spread the counters).
+// it should scale with GOMAXPROCS (the striped hit count keeps each
+// worker's writes on its own cache line).
 func BenchmarkClassifyHit(b *testing.B) {
 	tr := testTree(b)
 	c, err := New(tr, []Rule{{App: AnyApp, Flow: AnyFlow, Class: "a"}}, "")

@@ -242,10 +242,9 @@ func (c *Classifier) ClassifyBatchEv(ps []*packet.Packet, labels []*tree.Label, 
 		sort.SliceStable(idx, func(a, b int) bool { return keyLess(ps[idx[a]], ps[idx[b]]) })
 	}
 	var (
-		lastKey  uint64
-		lastLbl  *tree.Label
-		lastHash uint64
-		have     bool
+		lastKey uint64
+		lastLbl *tree.Label
+		have    bool
 	)
 	for _, i := range idx {
 		k := packKey(ps[i].App, ps[i].Flow)
@@ -255,7 +254,7 @@ func (c *Classifier) ClassifyBatchEv(ps []*packet.Packet, labels []*tree.Label, 
 			// written even here — callers reuse the buffer across
 			// bursts, and a stale true from an earlier burst would
 			// charge a phantom eviction.
-			c.cache.shardFor(lastHash).hits.Add(1)
+			c.cache.hits.add()
 			labels[i], hits[i] = lastLbl, true
 			if evicted != nil {
 				evicted[i] = false
@@ -267,7 +266,7 @@ func (c *Classifier) ClassifyBatchEv(ps []*packet.Packet, labels []*tree.Label, 
 		if evicted != nil {
 			evicted[i] = ev
 		}
-		lastKey, lastLbl, lastHash, have = k, labels[i], mix64(k), true
+		lastKey, lastLbl, have = k, labels[i], true
 	}
 	bs.idx = idx
 	//fv:owner-ok ownership returns to the pool: this frame holds the only reference and never touches bs after the Put
@@ -312,14 +311,13 @@ func (c *Classifier) ClassifyBatchSteerEv(ps []*packet.Packet, labels []*tree.La
 	var (
 		lastKey   uint64
 		lastLbl   *tree.Label
-		lastHash  uint64
 		lastShard int32
 		have      bool
 	)
 	for _, i := range idx {
 		k := packKey(ps[i].App, ps[i].Flow)
 		if have && k == lastKey {
-			c.cache.shardFor(lastHash).hits.Add(1)
+			c.cache.hits.add()
 			labels[i], hits[i], shards[i] = lastLbl, true, lastShard
 			if evicted != nil {
 				evicted[i] = false // see ClassifyBatchEv: reused buffers must not leak stale evictions
@@ -336,7 +334,7 @@ func (c *Classifier) ClassifyBatchSteerEv(ps []*packet.Packet, labels []*tree.La
 			lastShard = owners[lbl.Leaf.ID]
 		}
 		shards[i] = lastShard
-		lastKey, lastLbl, lastHash, have = k, labels[i], mix64(k), true
+		lastKey, lastLbl, have = k, labels[i], true
 	}
 	bs.idx = idx
 	//fv:owner-ok ownership returns to the pool: this frame holds the only reference and never touches bs after the Put
