@@ -82,7 +82,7 @@ bench-figures:
 # machine, capture $(BENCH_GATE) several times and emit from a merge
 # that keeps each benchmark's slowest capture, so the baseline's
 # best-of-N spans the noise band); bench-gate fails when any guarded
-# benchmark's best-of-N ns/op regresses more than 15% past the
+# benchmark's best-of-N ns/op regresses more than 12% past the
 # baseline, or allocates at all (cmd/fvbenchstat -max-allocs 0 — the
 # hot-path zero-allocation contract).
 BENCH_GATE = $(GO) test -run '^$$' -bench 'ScheduleBatch32|OffloadUpdate|SlowPathEnqueue' -benchmem -count=5 . ./internal/pifo/ ./internal/nic/

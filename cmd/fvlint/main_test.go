@@ -127,8 +127,8 @@ func TestHotClosureCoversKnownRoots(t *testing.T) {
 		"core.(Scheduler).ScheduleBatch",
 		"core.(Scheduler).scheduleBatchOwner",
 		"core.(ShardedScheduler).ScheduleBatch",
-		"classifier.(Classifier).LookupEv",
-		"classifier.(Classifier).ClassifyBatchSteerEv",
+		"classifier.(Classifier).lookup",
+		"classifier.(Classifier).ClassifyBurst",
 		"nic.(NIC).beginServiceBatch",
 		"pifo.(Sched).ScheduleBatch",
 	} {

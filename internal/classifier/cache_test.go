@@ -76,7 +76,7 @@ func TestCacheEvictionDeterminism(t *testing.T) {
 	}
 }
 
-// ClassifyBatchEv must agree with per-packet Lookup on labels and
+// ClassifyBurst must agree with per-packet Lookup on labels and
 // hit/miss accounting, on both sides of the sort-algorithm threshold.
 func TestClassifyBatchLookupEquivalence(t *testing.T) {
 	for _, n := range []int{1, 3, batchSortThreshold, batchSortThreshold + 1, 4 * batchSortThreshold} {
@@ -93,7 +93,7 @@ func TestClassifyBatchLookupEquivalence(t *testing.T) {
 		batchLbls := makeLabels(n)
 		hits := make([]bool, n)
 		evs := make([]bool, n)
-		cb.ClassifyBatchEv(ps, batchLbls, hits, evs)
+		cb.ClassifyBurst(ps, batchLbls, hits, evs, nil, nil)
 
 		cl, _ := New(tr, rules, "")
 		for i, p := range ps {
@@ -185,10 +185,10 @@ func TestCacheConcurrentTorture(t *testing.T) {
 						for j := range batch {
 							batch[j] = pkt(a, packet.FlowID(rng.Intn(8192)))
 						}
-						c.ClassifyBatchEv(batch, lbls, hits, evs)
+						c.ClassifyBurst(batch, lbls, hits, evs, nil, nil)
 					}
 				default:
-					lbl, _, _ := c.LookupEv(pkt(a, f))
+					lbl, _, _ := c.lookup(pkt(a, f))
 					if lbl == nil || lbl.Leaf.Name != "a" {
 						panic("misclassified under concurrency")
 					}
@@ -395,8 +395,8 @@ func BenchmarkClassifyMissEvict(b *testing.B) {
 	}
 }
 
-// ClassifyBatchSteerEv must agree with ClassifyBatchEv on labels and
-// hit accounting while steering every classified packet to its label's
+// ClassifyBurst with steering on must agree with steering off on labels
+// and hit accounting while steering every classified packet to its label's
 // shard (and unclassified packets to -1), on both sides of the
 // sort-algorithm threshold.
 func TestClassifyBatchSteerEquivalence(t *testing.T) {
@@ -430,11 +430,11 @@ func TestClassifyBatchSteerEquivalence(t *testing.T) {
 		cs, _ := New(tr, rules, "")
 		sLbls, sHits, sEvs := makeLabels(n), make([]bool, n), make([]bool, n)
 		shards := make([]int32, n)
-		cs.ClassifyBatchSteerEv(ps, sLbls, sHits, sEvs, ownersFor(tr), shards)
+		cs.ClassifyBurst(ps, sLbls, sHits, sEvs, ownersFor(tr), shards)
 
 		cb, _ := New(tr, rules, "")
 		bLbls, bHits, bEvs := makeLabels(n), make([]bool, n), make([]bool, n)
-		cb.ClassifyBatchEv(ps, bLbls, bHits, bEvs)
+		cb.ClassifyBurst(ps, bLbls, bHits, bEvs, nil, nil)
 
 		for i := range ps {
 			if sLbls[i] != bLbls[i] || sHits[i] != bHits[i] || sEvs[i] != bEvs[i] {
@@ -456,30 +456,80 @@ func TestClassifyBatchSteerEquivalence(t *testing.T) {
 	}
 }
 
-// A reused evicted buffer must come back fully defined: flow-group
-// followers behind a group head must overwrite their eviction slots,
-// not skip them — the NIC reuses one evs buffer across bursts, and a
-// stale true from an earlier burst would charge a phantom eviction.
+// Reused output buffers must come back fully defined: flow-group
+// followers behind a group head must overwrite their eviction and shard
+// slots, not skip them — the NIC reuses one set of buffers across
+// bursts, and a stale evicted[i]=true from an earlier burst would charge
+// a phantom eviction (a stale shards[i] would misroute the packet). The
+// one kernel runs the same bursts with steering on and off through a
+// small cache that evicts, over buffers soiled before every burst; both
+// runs must agree on labels, hits and evictions, every shard slot must
+// name its label's owner, and the reported evictions must sum to the
+// cache's own eviction count.
 func TestClassifyBatchEvFollowerClearsStaleEviction(t *testing.T) {
 	tr := testTree(t)
-	rules := []Rule{{App: 0, Flow: AnyFlow, Class: "a"}}
-	for _, steer := range []bool{false, true} {
-		c, err := New(tr, rules, "")
+	rules := []Rule{{App: 0, Flow: AnyFlow, Class: "a"}, {App: 1, Flow: AnyFlow, Class: "b"}}
+	owners := make([]int32, tr.Len())
+	for _, c := range tr.Classes() {
+		if c.Name == "b" {
+			owners[c.ID] = 1
+		}
+	}
+	mk := func() *Classifier {
+		c, err := NewSized(tr, rules, "", CacheConfig{Size: 64, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Head + follower of the same flow; both slots pre-soiled as if
-		// a previous burst evicted at these indices.
-		ps := []*packet.Packet{pkt(0, 7), pkt(0, 7)}
-		lbls, hits := makeLabels(2), make([]bool, 2)
-		evs := []bool{true, true}
-		if steer {
-			c.ClassifyBatchSteerEv(ps, lbls, hits, evs, make([]int32, tr.Len()), make([]int32, 2))
-		} else {
-			c.ClassifyBatchEv(ps, lbls, hits, evs)
+		return c
+	}
+	plain, steered := mk(), mk()
+	const n = 16
+	pLbls, pHits, pEvs := makeLabels(n), make([]bool, n), make([]bool, n)
+	sLbls, sHits, sEvs := makeLabels(n), make([]bool, n), make([]bool, n)
+	shards := make([]int32, n)
+	rng := rand.New(rand.NewSource(7))
+	var reported uint64
+	for burst := 0; burst < 400; burst++ {
+		// Few flows per burst so followers are common; a wide flow
+		// space so the 64-entry cache keeps evicting. App 2 matches
+		// no rule (nil label, shard -1).
+		ps := make([]*packet.Packet, n)
+		for i := range ps {
+			ps[i] = pkt(packet.AppID(rng.Intn(3)), packet.FlowID(rng.Intn(4)+4*(burst%64)))
 		}
-		if evs[0] || evs[1] {
-			t.Fatalf("steer=%v: stale eviction flags survived: %v", steer, evs)
+		for i := 0; i < n; i++ {
+			pEvs[i], sEvs[i], shards[i] = true, true, 99
 		}
+		plain.ClassifyBurst(ps, pLbls, pHits, pEvs, nil, nil)
+		steered.ClassifyBurst(ps, sLbls, sHits, sEvs, owners, shards)
+		for i := 0; i < n; i++ {
+			if pLbls[i] != sLbls[i] || pHits[i] != sHits[i] || pEvs[i] != sEvs[i] {
+				t.Fatalf("burst %d pkt %d: steer off (%v,%v,%v) != steer on (%v,%v,%v)",
+					burst, i, pLbls[i], pHits[i], pEvs[i], sLbls[i], sHits[i], sEvs[i])
+			}
+			want := int32(-1)
+			if sLbls[i] != nil {
+				want = owners[sLbls[i].Leaf.ID]
+			}
+			if shards[i] != want {
+				t.Fatalf("burst %d pkt %d: stale shard %d, want %d", burst, i, shards[i], want)
+			}
+			if pHits[i] && pEvs[i] {
+				t.Fatalf("burst %d pkt %d: a cache hit reported an eviction", burst, i)
+			}
+			if pEvs[i] {
+				reported++
+			}
+		}
+	}
+	ps, ss := plain.Stats(), steered.Stats()
+	if ps != ss {
+		t.Fatalf("steer on/off stats diverged:\n%+v\n%+v", ps, ss)
+	}
+	if ps.Evictions == 0 {
+		t.Fatal("no burst evicted — the stale-eviction check is vacuous")
+	}
+	if reported != ps.Evictions {
+		t.Fatalf("bursts reported %d evictions, cache counted %d: stale flags survived buffer reuse", reported, ps.Evictions)
 	}
 }

@@ -161,16 +161,16 @@ func NewSized(t *tree.Tree, rules []Rule, defaultClass string, cache CacheConfig
 // and there is no default class (negative results are cached too: the
 // NP caches the drop/default action the same way as a positive match).
 func (c *Classifier) Lookup(p *packet.Packet) (lbl *tree.Label, hit bool) {
-	lbl, hit, _ = c.LookupEv(p)
+	lbl, hit, _ = c.lookup(p)
 	return lbl, hit
 }
 
-// LookupEv is Lookup plus whether resolving the miss evicted a live
-// cache entry — the outcome the NIC model charges CLOCK-writeback
-// cycles for.
+// lookup is the per-packet primitive of ClassifyBurst: Lookup plus
+// whether resolving the miss evicted a live cache entry — the outcome
+// the NIC model charges CLOCK-writeback cycles for.
 //
 //fv:hotpath
-func (c *Classifier) LookupEv(p *packet.Packet) (lbl *tree.Label, hit, evicted bool) {
+func (c *Classifier) lookup(p *packet.Packet) (lbl *tree.Label, hit, evicted bool) {
 	key := packKey(p.App, p.Flow)
 	sh, lbl, ok := c.cache.get(key)
 	if ok {
@@ -192,9 +192,9 @@ func (c *Classifier) LookupEv(p *packet.Packet) (lbl *tree.Label, hit, evicted b
 
 // ClassifyBatch resolves the labels of a burst of packets, writing
 // labels[i] and hits[i] for ps[i] (both must be at least len(ps) long).
-// See ClassifyBatchEv for the eviction-reporting variant.
+// See ClassifyBurst for eviction reporting and shard steering.
 func (c *Classifier) ClassifyBatch(ps []*packet.Packet, labels []*tree.Label, hits []bool) {
-	c.ClassifyBatchEv(ps, labels, hits, nil)
+	c.ClassifyBurst(ps, labels, hits, nil, nil, nil)
 }
 
 // batchSortThreshold is the burst length above which the grouping sort
@@ -203,8 +203,9 @@ func (c *Classifier) ClassifyBatch(ps []*packet.Packet, labels []*tree.Label, hi
 // all-distinct-flow burst makes it O(n²).
 const batchSortThreshold = 32
 
-// ClassifyBatchEv resolves the labels of a burst of packets, writing
-// labels[i], hits[i], and (when non-nil) evicted[i] for ps[i].
+// ClassifyBurst resolves the labels of a burst of packets, writing
+// labels[i], hits[i], and (when non-nil) evicted[i] for ps[i]. It is
+// the classifier's one batch kernel.
 //
 // The batch amortizes the exact-match flow cache: lookups are grouped by
 // flow key (a stable sort over an index scratch), so every packet of a
@@ -214,12 +215,25 @@ const batchSortThreshold = 32
 // model's cycle charges — is identical to calling Lookup per packet in
 // arrival order.
 //
+// Shard steering is optional and fused into the same pass: when shards
+// is non-nil, shards[i] receives the scheduler shard that owns ps[i]'s
+// label per the owners table (ClassID → shard, see
+// dataplane.OwnerTabler), or -1 for unclassified packets. The steer is
+// computed once per flow group — every follower inherits the head's
+// shard along with its label — so a burst dominated by few flows pays
+// one table load per flow, not a dynamic dispatch per packet. Drivers
+// of sharded scheduling functions (the NIC's burst service) use this to
+// fill their per-shard feed lanes.
+//
 //fv:hotpath
-func (c *Classifier) ClassifyBatchEv(ps []*packet.Packet, labels []*tree.Label, hits, evicted []bool) {
+func (c *Classifier) ClassifyBurst(ps []*packet.Packet, labels []*tree.Label, hits, evicted []bool, owners, shards []int32) {
 	n := len(ps)
 	labels, hits = labels[:n], hits[:n]
 	if evicted != nil {
 		evicted = evicted[:n]
+	}
+	if shards != nil {
+		shards = shards[:n]
 	}
 	bs := c.batchPool.Get().(*batchScratch)
 	if cap(bs.idx) < n {
@@ -242,73 +256,6 @@ func (c *Classifier) ClassifyBatchEv(ps []*packet.Packet, labels []*tree.Label, 
 		sort.SliceStable(idx, func(a, b int) bool { return keyLess(ps[idx[a]], ps[idx[b]]) })
 	}
 	var (
-		lastKey uint64
-		lastLbl *tree.Label
-		have    bool
-	)
-	for _, i := range idx {
-		k := packKey(ps[i].App, ps[i].Flow)
-		if have && k == lastKey {
-			// Same flow as the group head: the cache would hit; skip
-			// the probe and reuse the resolved label. evicted must be
-			// written even here — callers reuse the buffer across
-			// bursts, and a stale true from an earlier burst would
-			// charge a phantom eviction.
-			c.cache.hits.add()
-			labels[i], hits[i] = lastLbl, true
-			if evicted != nil {
-				evicted[i] = false
-			}
-			continue
-		}
-		var ev bool
-		labels[i], hits[i], ev = c.LookupEv(ps[i])
-		if evicted != nil {
-			evicted[i] = ev
-		}
-		lastKey, lastLbl, have = k, labels[i], true
-	}
-	bs.idx = idx
-	//fv:owner-ok ownership returns to the pool: this frame holds the only reference and never touches bs after the Put
-	c.batchPool.Put(bs)
-}
-
-// ClassifyBatchSteerEv is ClassifyBatchEv with scheduler-shard steering
-// fused into the classification pass: shards[i] receives the shard that
-// owns ps[i]'s label per the owners table (ClassID → shard, see
-// dataplane.OwnerTabler), or -1 for unclassified packets. The steer is
-// computed once per flow group — every follower behind a group head
-// inherits the head's shard along with its label — so a burst dominated
-// by few flows pays one table load per flow, not a dynamic dispatch per
-// packet. Drivers of sharded scheduling functions (the NIC's burst
-// service) use this to fill their per-shard feed lanes.
-//
-//fv:hotpath
-func (c *Classifier) ClassifyBatchSteerEv(ps []*packet.Packet, labels []*tree.Label, hits, evicted []bool, owners []int32, shards []int32) {
-	n := len(ps)
-	labels, hits, shards = labels[:n], hits[:n], shards[:n]
-	if evicted != nil {
-		evicted = evicted[:n]
-	}
-	bs := c.batchPool.Get().(*batchScratch)
-	if cap(bs.idx) < n {
-		bs.idx = make([]int32, 0, n) //fv:coldpath pooled scratch grows to the largest burst once, then never again
-	}
-	idx := bs.idx[:0]
-	for i := 0; i < n; i++ {
-		idx = append(idx, int32(i))
-	}
-	if n <= batchSortThreshold {
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && keyLess(ps[idx[j]], ps[idx[j-1]]); j-- {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
-			}
-		}
-	} else {
-		//fv:coldpath bursts beyond batchSortThreshold exceed any NIC ring budget; stdlib sort is fine there
-		sort.SliceStable(idx, func(a, b int) bool { return keyLess(ps[idx[a]], ps[idx[b]]) })
-	}
-	var (
 		lastKey   uint64
 		lastLbl   *tree.Label
 		lastShard int32
@@ -316,25 +263,30 @@ func (c *Classifier) ClassifyBatchSteerEv(ps []*packet.Packet, labels []*tree.La
 	)
 	for _, i := range idx {
 		k := packKey(ps[i].App, ps[i].Flow)
+		ev := false
 		if have && k == lastKey {
+			// Same flow as the group head: the cache would hit; skip
+			// the probe and reuse the resolved label and shard.
 			c.cache.hits.add()
-			labels[i], hits[i], shards[i] = lastLbl, true, lastShard
-			if evicted != nil {
-				evicted[i] = false // see ClassifyBatchEv: reused buffers must not leak stale evictions
+			labels[i], hits[i] = lastLbl, true
+		} else {
+			labels[i], hits[i], ev = c.lookup(ps[i])
+			lastKey, lastLbl, have = k, labels[i], true
+			lastShard = -1
+			if shards != nil && lastLbl != nil {
+				lastShard = owners[lastLbl.Leaf.ID]
 			}
-			continue
 		}
-		var ev bool
-		labels[i], hits[i], ev = c.LookupEv(ps[i])
+		// Every requested output is written for every packet, group
+		// followers included: callers reuse these buffers across
+		// bursts, and a stale evicted[i] or shards[i] from an earlier
+		// burst would charge a phantom eviction or misroute a packet.
 		if evicted != nil {
 			evicted[i] = ev
 		}
-		lastShard = -1
-		if lbl := labels[i]; lbl != nil {
-			lastShard = owners[lbl.Leaf.ID]
+		if shards != nil {
+			shards[i] = lastShard
 		}
-		shards[i] = lastShard
-		lastKey, lastLbl, have = k, labels[i], true
 	}
 	bs.idx = idx
 	//fv:owner-ok ownership returns to the pool: this frame holds the only reference and never touches bs after the Put

@@ -105,9 +105,9 @@ func (bs *batchScratch) countOne(c *tree.Class, sz int64) {
 // ScheduleBatch runs the scheduling function for a burst of packets in
 // one pass, writing out[i] for reqs[i] (len(out) must be ≥ len(reqs)).
 //
-// The batch path is Algorithm 1 with its per-packet overheads amortized
-// across the burst, the way the NP's packet contexts share one pipeline
-// pass:
+// This is the scheduler's only implementation of Algorithm 1 — Schedule
+// is a burst of one — with its per-packet overheads amortized across
+// the burst, the way the NP's packet contexts share one pipeline pass:
 //
 //   - one clock read for the whole batch (every packet is stamped with
 //     the same arrival instant — exactly what a single DES event or one
@@ -121,16 +121,14 @@ func (bs *batchScratch) countOne(c *tree.Class, sz int64) {
 //   - trace emission batched after the verdict loop, so the sampled
 //     packets cost the unsampled ones nothing.
 //
-// At batch size 1 the decision sequence is identical to calling
-// Schedule per packet. At larger sizes verdicts can differ transiently
-// around an epoch boundary (the update lands on the batch's first
-// toucher instead of between packets), but admitted byte totals stay
-// within one epoch's refill of the per-packet path — the token supply
-// is epoch-driven, not call-driven, so batch size does not change
-// enforced rates.
+// At larger sizes verdicts can differ transiently from a run of bursts
+// of one around an epoch boundary (the update lands on the batch's
+// first toucher instead of between packets), but admitted byte totals
+// stay within one epoch's refill — the token supply is epoch-driven, not
+// call-driven, so batch size does not change enforced rates.
 //
-// Safe for concurrent use like Schedule; scratch state is pooled per
-// call, never shared between concurrent batches.
+// Safe for concurrent use; scratch state is pooled per call, never
+// shared between concurrent batches.
 //
 //fv:hotpath
 func (s *Scheduler) ScheduleBatch(reqs []dataplane.Request, out []dataplane.Decision) {
@@ -169,11 +167,15 @@ func (s *Scheduler) scheduleBatchOwner(reqs []dataplane.Request, out []dataplane
 		d := &out[i]
 		*d = Decision{Batched: n}
 
-		// Lines 1–5 amortized: every packet in the batch shares one
-		// arrival instant, so both the lastSeen stamp (what keeps an
-		// active class from expiring) and the epoch-elapse check run
-		// once per class per batch — repeat stores of the same now are
-		// pure cache traffic.
+		// Lines 1–5: walk the hierarchy label root→leaf, stamping each
+		// class active and refreshing its token bucket opportunistically.
+		// Every packet in the batch shares one arrival instant, so both
+		// the lastSeen stamp (what keeps an active class from expiring)
+		// and the epoch-elapse check run once per class per batch —
+		// repeat stores of the same now are pure cache traffic. The
+		// packet is counted against every class's consumption estimator
+		// only on forward (below), so dropped packets do not inflate Γ —
+		// Γ measures *forwarding* consumption (Eq. 3).
 		for _, c := range lbl.Path {
 			if bs.seen[c.ID] != gen {
 				bs.seen[c.ID] = gen
@@ -186,99 +188,45 @@ func (s *Scheduler) scheduleBatchOwner(reqs []dataplane.Request, out []dataplane
 		leaf := lbl.Leaf
 		lst := &s.states[leaf.ID]
 
-		// Lines 6–8: meter at the leaf.
-		if lst.bucket.TryConsume(sz) {
-			bs.count(lbl.Path, sz)
-			d.Verdict = Forward
+		switch {
+		case lst.bucket.TryConsume(sz):
+			// Lines 6–8: the leaf meter is green. Virtual-queue ECN
+			// extension: signal congestion early while the packet is
+			// still green.
 			if f := s.cfg.ECNMarkFrac; f > 0 &&
 				lst.bucket.Tokens() < int64(f*float64(lst.bucket.Burst())) {
-				lst.markPkts.Add(1)
 				d.Marked = true
 			}
+		case s.borrow(lbl, sz, now, gen, bs, d, flt):
+			// Lines 9–15: a lender's shadow admitted the red packet.
+			// Borrowed bandwidth is inherently contended; mark it under
+			// the ECN extension so borrowers yield first.
+			d.Marked = s.cfg.ECNMarkFrac > 0
+			lst.borrowPkts.Add(1)
+		default:
+			// Line 16: drop.
+			d.Verdict = Drop
 			if h != nil {
-				seq := lst.fwdPkts.Add(1)
-				lst.fwdBytes.Add(sz)
+				seq := lst.dropPkts.Add(1)
+				lst.dropBytes.Add(sz)
 				bs.traces = append(bs.traces, pendingTrace{seq: seq, idx: int32(i)})
 			} else {
-				bs.leafFwd(leaf, sz)
+				bs.leafDrop(leaf, sz)
 			}
 			continue
 		}
 
-		// Lines 9–15: borrowing, with each lender's opportunistic
-		// update also amortized to once per batch.
-		borrowed := false
-		for _, lender := range lbl.Borrow {
-			if sc := s.shard; sc != nil && !sc.owns(lender.ID) {
-				// Remote lender: spend the shard-local lease (see
-				// Schedule); the lender's replica state on this shard
-				// is never touched, so nothing mints twice.
-				if sc.tryLease(lender.ID, sz) {
-					if s.cfg.ECNMarkFrac > 0 {
-						lst.markPkts.Add(1)
-						d.Marked = true
-					}
-					lst.borrowPkts.Add(1)
-					bs.count(lbl.Path, sz)
-					d.Verdict = Forward
-					d.Borrowed = true
-					d.Lender = lender
-					if h != nil {
-						seq := lst.fwdPkts.Add(1)
-						lst.fwdBytes.Add(sz)
-						bs.traces = append(bs.traces, pendingTrace{seq: seq, idx: int32(i)})
-					} else {
-						bs.leafFwd(leaf, sz)
-					}
-					borrowed = true
-					break
-				}
-				continue
-			}
-			ls := &s.states[lender.ID]
-			if bs.seen[lender.ID] != gen {
-				bs.seen[lender.ID] = gen
-				s.maybeUpdate(lender, ls, now, d, flt)
-			}
-			if ls.shadow.TryConsume(sz) {
-				if s.cfg.ECNMarkFrac > 0 {
-					lst.markPkts.Add(1)
-					d.Marked = true
-				}
-				ls.lentBytes.Add(sz)
-				ls.lentEpoch.Add(sz)
-				ls.lastSeen.Store(now)
-				if !labelPathContains(lbl, lender) {
-					bs.countOne(lender, sz)
-				}
-				lst.borrowPkts.Add(1)
-				bs.count(lbl.Path, sz)
-				d.Verdict = Forward
-				d.Borrowed = true
-				d.Lender = lender
-				if h != nil {
-					seq := lst.fwdPkts.Add(1)
-					lst.fwdBytes.Add(sz)
-					bs.traces = append(bs.traces, pendingTrace{seq: seq, idx: int32(i)})
-				} else {
-					bs.leafFwd(leaf, sz)
-				}
-				borrowed = true
-				break
-			}
+		d.Verdict = Forward
+		if d.Marked {
+			lst.markPkts.Add(1)
 		}
-		if borrowed {
-			continue
-		}
-
-		// Line 16: drop.
-		d.Verdict = Drop
+		bs.count(lbl.Path, sz)
 		if h != nil {
-			seq := lst.dropPkts.Add(1)
-			lst.dropBytes.Add(sz)
+			seq := lst.fwdPkts.Add(1)
+			lst.fwdBytes.Add(sz)
 			bs.traces = append(bs.traces, pendingTrace{seq: seq, idx: int32(i)})
 		} else {
-			bs.leafDrop(leaf, sz)
+			bs.leafFwd(leaf, sz)
 		}
 	}
 
@@ -310,7 +258,8 @@ func (s *Scheduler) scheduleBatchOwner(reqs []dataplane.Request, out []dataplane
 
 	// Batched trace emission. QueueDepth on sampled events reads the
 	// post-batch bucket level — the price of keeping sampling off the
-	// verdict loop.
+	// verdict loop. The leaf's verdict ordinal doubles as the sampling
+	// sequence, so tracing costs the unsampled path nothing.
 	if h != nil {
 		for _, pt := range bs.traces {
 			lbl := reqs[pt.idx].Label
@@ -319,4 +268,57 @@ func (s *Scheduler) scheduleBatchOwner(reqs []dataplane.Request, out []dataplane
 		}
 		bs.traces = bs.traces[:0]
 	}
+}
+
+// borrow is lines 9–15 of Algorithm 1 for a packet whose leaf meter ran
+// red: query the shadow bucket of each lender in the borrowing label.
+// The query is "another practice of the rate-limiting process" (§IV-C):
+// the borrower opportunistically runs the lender's update subprocedure
+// (once per batch, like the path classes) so that an idle lender's
+// shadow keeps filling at its lendable rate even though the lender
+// itself sees no packet arrivals. It reports whether a lender admitted
+// the packet, setting d.Borrowed and d.Lender.
+//
+//fv:hotpath
+func (s *Scheduler) borrow(lbl *tree.Label, sz, now int64, gen uint32, bs *batchScratch, d *Decision, flt *schedFaults) bool {
+	for _, lender := range lbl.Borrow {
+		if sc := s.shard; sc != nil && !sc.owns(lender.ID) {
+			// Remote lender: spend from the shard-local lease instead
+			// of the lender's shadow bucket (which lives — and is
+			// refilled — on the owner shard only; touching a replica's
+			// copy would mint tokens twice). The lender-side Γ and
+			// lending counters are settled by the reconciler.
+			if !sc.tryLease(lender.ID, sz) {
+				continue
+			}
+		} else {
+			ls := &s.states[lender.ID]
+			if bs.seen[lender.ID] != gen {
+				bs.seen[lender.ID] = gen
+				s.maybeUpdate(lender, ls, now, d, flt)
+			}
+			if !ls.shadow.TryConsume(sz) {
+				continue
+			}
+			ls.lentBytes.Add(sz)
+			ls.lentEpoch.Add(sz)
+			// The lender's reservation is in active use, so its
+			// status must not expire while it keeps lending.
+			ls.lastSeen.Store(now)
+			// Lent bandwidth is consumption of the lender's
+			// reservation: it must appear in the lender's Γ so the
+			// rate-distribution templates see the share as used
+			// (Fig 9). When the lender sits on the packet's own
+			// hierarchy path, the path count already covers it —
+			// "its flow rate is fully reflected on S2's token
+			// consumption rate" — so skip the extra count.
+			if !labelPathContains(lbl, lender) {
+				bs.countOne(lender, sz)
+			}
+		}
+		d.Borrowed = true
+		d.Lender = lender
+		return true
+	}
+	return false
 }

@@ -63,40 +63,181 @@ func newBatchPair(t *testing.T) (*Scheduler, *Scheduler, *clock.Manual, *clock.M
 	return s1, s2, c1, c2, l1, l2
 }
 
-// TestScheduleBatchSize1Identical: at batch size 1 the batched path must
-// be verdict-for-verdict identical to the per-packet path — same
-// Verdict, Marked, Borrowed, Lender, and Updates on every decision.
+// refSchedule is a test-only transcription of Algorithm 1 for one
+// packet, written straight from the paper's per-packet pseudocode: no
+// batching, no deferred counting, fault-free, telemetry off, unsharded.
+// It drives the scheduler's own state and update subprocedure, so the
+// burst kernel can be checked against the algorithm rather than against
+// itself.
+func refSchedule(s *Scheduler, lbl *tree.Label, size int) Decision {
+	now := s.clk.Now()
+	sz := int64(size)
+	d := Decision{Batched: 1}
+	update := func(c *tree.Class) {
+		st := &s.states[c.ID]
+		if now-st.lastUpdate.Load() < s.cfg.UpdateIntervalNs {
+			return
+		}
+		if !st.mu.TryLock() {
+			d.LockMisses++
+			return
+		}
+		if s.update(c, st, now, true) {
+			d.Updates++
+		}
+		st.mu.Unlock()
+	}
+	lst := &s.states[lbl.Leaf.ID]
+	forward := func() Decision {
+		for _, c := range lbl.Path {
+			s.states[c.ID].est.Count(sz)
+		}
+		lst.fwdPkts.Add(1)
+		lst.fwdBytes.Add(sz)
+		if d.Marked {
+			lst.markPkts.Add(1)
+		}
+		d.Verdict = Forward
+		return d
+	}
+
+	// Lines 1–5: stamp and opportunistically update the path.
+	for _, c := range lbl.Path {
+		s.states[c.ID].lastSeen.Store(now)
+		update(c)
+	}
+	// Lines 6–8: meter at the leaf.
+	if lst.bucket.TryConsume(sz) {
+		f := s.cfg.ECNMarkFrac
+		d.Marked = f > 0 && lst.bucket.Tokens() < int64(f*float64(lst.bucket.Burst()))
+		return forward()
+	}
+	// Lines 9–15: borrow from the first lender whose shadow admits it.
+	for _, lender := range lbl.Borrow {
+		ls := &s.states[lender.ID]
+		update(lender)
+		if !ls.shadow.TryConsume(sz) {
+			continue
+		}
+		ls.lentBytes.Add(sz)
+		ls.lentEpoch.Add(sz)
+		ls.lastSeen.Store(now)
+		if !labelPathContains(lbl, lender) {
+			ls.est.Count(sz)
+		}
+		lst.borrowPkts.Add(1)
+		d.Borrowed, d.Lender = true, lender
+		d.Marked = s.cfg.ECNMarkFrac > 0
+		return forward()
+	}
+	// Line 16: drop.
+	lst.dropPkts.Add(1)
+	lst.dropBytes.Add(sz)
+	d.Verdict = Drop
+	return d
+}
+
+// nestedTree is a two-level tree whose leaves borrow from their own
+// parent (a lender on the packet's hierarchy path), from a sibling, and
+// from the other group — the borrow shapes fairTree does not cover.
+func nestedTree(rateBps float64) *tree.Tree {
+	return tree.NewBuilder().Root("root", rateBps).
+		Add(tree.ClassSpec{Name: "grpA", Parent: "root", Weight: 3}).
+		Add(tree.ClassSpec{Name: "grpB", Parent: "root", Weight: 1}).
+		Add(tree.ClassSpec{Name: "app0", Parent: "grpA", BorrowFrom: []string{"grpA", "app2"}}).
+		Add(tree.ClassSpec{Name: "app1", Parent: "grpA", BorrowFrom: []string{"app0", "grpA"}}).
+		Add(tree.ClassSpec{Name: "app2", Parent: "grpB", BorrowFrom: []string{"grpB", "grpA"}}).
+		Add(tree.ClassSpec{Name: "app3", Parent: "grpB", BorrowFrom: []string{"app2"}}).
+		MustBuild()
+}
+
+// TestScheduleBatchSize1Identical: Schedule — a burst of one through
+// the kernel — must be decision-for-decision identical to the
+// per-packet transcription of Algorithm 1 (every Decision field), and
+// leave identical per-class state behind, with and without the ECN
+// extension and on both borrow shapes.
 func TestScheduleBatchSize1Identical(t *testing.T) {
-	s1, s2, c1, c2, l1, l2 := newBatchPair(t)
-	reqs := batchWorkload(20_000)
-	var req [1]dataplane.Request
-	var out [1]dataplane.Decision
-	for i, r := range reqs {
-		c1.Set(r.atNs)
-		c2.Set(r.atNs)
-		d1 := s1.Schedule(l1[r.app], r.size)
+	for _, tc := range []struct {
+		name string
+		mk   func(float64) *tree.Tree
+	}{{"fair", fairTree}, {"nested", nestedTree}} {
+		mk := tc.mk
+		for _, ecn := range []float64{0, 0.5} {
+			t.Run(fmt.Sprintf("%s/ecn=%v", tc.name, ecn), func(t *testing.T) {
+				clk := clock.NewManual(0)
+				build := func() (*Scheduler, []*tree.Label) {
+					tr := mk(4e8)
+					s, err := New(tr, clk, Config{ECNMarkFrac: ecn})
+					if err != nil {
+						t.Fatal(err)
+					}
+					lbls := make([]*tree.Label, 4)
+					for i := range lbls {
+						lbls[i], _ = tr.LabelByName(fmt.Sprintf("app%d", i))
+					}
+					return s, lbls
+				}
+				ref, lr := build()
+				got, lg := build()
+				var borrowed, dropped int
+				for i, r := range batchWorkload(20_000) {
+					clk.Set(r.atNs)
+					want := refSchedule(ref, lr[r.app], r.size)
+					d := got.Schedule(lg[r.app], r.size)
+					if want.Lender != nil {
+						if d.Lender == nil || d.Lender.ID != want.Lender.ID {
+							t.Fatalf("pkt %d: lender %v, want %v", i, d.Lender, want.Lender)
+						}
+						want.Lender, d.Lender = nil, nil
+					}
+					if d != want {
+						t.Fatalf("pkt %d (app%d %dB @%dns): Schedule=%+v, Algorithm 1=%+v",
+							i, r.app, r.size, r.atNs, d, want)
+					}
+					if d.Borrowed {
+						borrowed++
+					}
+					if d.Verdict == Drop {
+						dropped++
+					}
+				}
+				if borrowed == 0 || dropped == 0 {
+					t.Fatalf("workload borrowed %d and dropped %d packets: the comparison misses a branch", borrowed, dropped)
+				}
+				rs, gs := ref.Snapshot(), got.Snapshot()
+				for i := range rs {
+					rs[i].Class, gs[i].Class = nil, nil
+					if rs[i] != gs[i] {
+						t.Fatalf("class %d final stats: Schedule %+v, Algorithm 1 %+v", i, gs[i], rs[i])
+					}
+				}
+			})
+		}
+	}
+}
 
-		req[0] = dataplane.Request{Label: l2[r.app], Size: r.size}
-		s2.ScheduleBatch(req[:], out[:])
-		d2 := out[0]
+// TestLockMissOnlyWhenEpochDue: under PerClassTryLock the class lock is
+// taken only when the class's epoch is due, so a held lock costs a miss
+// only then — an undue class never touches its lock.
+func TestLockMissOnlyWhenEpochDue(t *testing.T) {
+	tr := fairTree(4e9)
+	clk := clock.NewManual(0)
+	s, err := New(tr, clk, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbl, _ := tr.LabelByName("app0")
+	st := &s.states[lbl.Leaf.ID]
+	st.mu.Lock()
+	defer st.mu.Unlock()
 
-		if d1.Verdict != d2.Verdict || d1.Marked != d2.Marked || d1.Borrowed != d2.Borrowed ||
-			d1.Updates != d2.Updates || d1.LockMisses != d2.LockMisses {
-			t.Fatalf("pkt %d (app%d %dB @%dns): Schedule=%+v ScheduleBatch[1]=%+v",
-				i, r.app, r.size, r.atNs, d1, d2)
-		}
-		lenderName := func(c *tree.Class) string {
-			if c == nil {
-				return ""
-			}
-			return c.Name
-		}
-		if lenderName(d1.Lender) != lenderName(d2.Lender) {
-			t.Fatalf("pkt %d: lender %q vs %q", i, lenderName(d1.Lender), lenderName(d2.Lender))
-		}
-		if d2.Batched != 1 {
-			t.Fatalf("pkt %d: ScheduleBatch of 1 reported Batched=%d", i, d2.Batched)
-		}
+	clk.Advance(s.cfg.UpdateIntervalNs / 2)
+	if d := s.Schedule(lbl, 64); d.LockMisses != 0 || d.Updates != 0 {
+		t.Fatalf("epoch not due: LockMisses=%d Updates=%d, want 0 and 0", d.LockMisses, d.Updates)
+	}
+	clk.Advance(s.cfg.UpdateIntervalNs)
+	if d := s.Schedule(lbl, 64); d.LockMisses != 1 {
+		t.Fatalf("epoch due with the leaf lock held: LockMisses=%d, want 1", d.LockMisses)
 	}
 }
 

@@ -45,7 +45,7 @@ func TestExpiryClearsLendLedger(t *testing.T) {
 	eng.RunUntil(eng.Now() + idle)
 	now := s.clk.Now()
 	st.mu.Lock()
-	ran := s.updateLocked(c, st, now)
+	ran := s.update(c, st, now, true)
 	st.mu.Unlock()
 	if !ran {
 		t.Fatal("expiry epoch did not execute")
@@ -96,7 +96,7 @@ func TestExpiryAppliesUnderNoLock(t *testing.T) {
 	cfg := s.Config()
 	idle := cfg.ExpireAfterNs * 20
 	eng.RunUntil(eng.Now() + idle)
-	if !s.updateRacy(c, st, s.clk.Now()) {
+	if !s.update(c, st, s.clk.Now(), false) {
 		t.Fatal("expiry epoch did not execute")
 	}
 

@@ -32,120 +32,16 @@ var _ dataplane.Scheduler = (*Scheduler)(nil)
 
 // Schedule runs the scheduling function (Algorithm 1) for one packet of
 // `size` bytes carrying QoS label lbl, and returns the forwarding
-// decision. It is safe to call from any number of goroutines.
+// decision. It is ScheduleBatch on a burst of one: the burst kernel
+// (scheduleBatchOwner) is the only implementation of Algorithm 1. It is
+// safe to call from any number of goroutines.
 //
 //fv:hotpath
 func (s *Scheduler) Schedule(lbl *tree.Label, size int) Decision {
-	now := s.now()
-	sz := int64(size)
-	d := Decision{Batched: 1}
-	flt := s.flt.Load()
-
-	// Lines 1–5: walk the hierarchy label root→leaf; refresh token
-	// buckets opportunistically and record the packet against every
-	// class's consumption counter on forward (deferred below so that
-	// dropped packets do not inflate Γ — Γ measures *forwarding*
-	// consumption, Eq. 3).
-	for _, c := range lbl.Path {
-		st := &s.states[c.ID]
-		st.lastSeen.Store(now)
-		s.maybeUpdate(c, st, now, &d, flt)
-	}
-
-	leaf := lbl.Leaf
-	lst := &s.states[leaf.ID]
-
-	// Lines 6–8: meter at the leaf.
-	if lst.bucket.TryConsume(sz) {
-		seq := s.recordForward(lbl, sz)
-		d.Verdict = Forward
-		// Virtual-queue ECN extension: signal congestion early while
-		// the packet is still green.
-		if f := s.cfg.ECNMarkFrac; f > 0 &&
-			lst.bucket.Tokens() < int64(f*float64(lst.bucket.Burst())) {
-			lst.markPkts.Add(1)
-			d.Marked = true
-		}
-		if h := s.tel.Load(); h != nil {
-			h.trace(seq, now, lbl, lst, sz, &d)
-		}
-		return d
-	}
-
-	// Lines 9–15: borrowing — query the shadow bucket of each lender in
-	// the borrowing label. The query is "another practice of the
-	// rate-limiting process" (§IV-C): the borrower opportunistically
-	// runs the lender's update subprocedure so that an idle lender's
-	// shadow keeps filling at its lendable rate even though the lender
-	// itself sees no packet arrivals.
-	for _, lender := range lbl.Borrow {
-		if sc := s.shard; sc != nil && !sc.owns(lender.ID) {
-			// Remote lender: spend from the shard-local lease instead
-			// of the lender's shadow bucket (which lives — and is
-			// refilled — on the owner shard only; touching a replica's
-			// copy would mint tokens twice). The lender-side Γ and
-			// lending counters are settled by the reconciler.
-			if sc.tryLease(lender.ID, sz) {
-				if s.cfg.ECNMarkFrac > 0 {
-					lst.markPkts.Add(1)
-					d.Marked = true
-				}
-				lst.borrowPkts.Add(1)
-				seq := s.recordForward(lbl, sz)
-				d.Verdict = Forward
-				d.Borrowed = true
-				d.Lender = lender
-				if h := s.tel.Load(); h != nil {
-					h.trace(seq, now, lbl, lst, sz, &d)
-				}
-				return d
-			}
-			continue
-		}
-		ls := &s.states[lender.ID]
-		s.maybeUpdate(lender, ls, now, &d, flt)
-		if ls.shadow.TryConsume(sz) {
-			// Borrowed bandwidth is inherently contended; mark it
-			// under the ECN extension so borrowers yield first.
-			if s.cfg.ECNMarkFrac > 0 {
-				lst.markPkts.Add(1)
-				d.Marked = true
-			}
-			ls.lentBytes.Add(sz)
-			ls.lentEpoch.Add(sz)
-			// The lender's reservation is in active use, so its
-			// status must not expire while it keeps lending.
-			ls.lastSeen.Store(now)
-			// Lent bandwidth is consumption of the lender's
-			// reservation: it must appear in the lender's Γ so the
-			// rate-distribution templates see the share as used
-			// (Fig 9). When the lender sits on the packet's own
-			// hierarchy path, recordForward below already counts
-			// it — "its flow rate is fully reflected on S2's token
-			// consumption rate" — so skip the extra count.
-			if !labelPathContains(lbl, lender) {
-				ls.est.Count(sz)
-			}
-			lst.borrowPkts.Add(1)
-			seq := s.recordForward(lbl, sz)
-			d.Verdict = Forward
-			d.Borrowed = true
-			d.Lender = lender
-			if h := s.tel.Load(); h != nil {
-				h.trace(seq, now, lbl, lst, sz, &d)
-			}
-			return d
-		}
-	}
-
-	// Line 16: drop.
-	seq := lst.dropPkts.Add(1)
-	lst.dropBytes.Add(sz)
-	d.Verdict = Drop
-	if h := s.tel.Load(); h != nil {
-		h.trace(seq, now, lbl, lst, sz, &d)
-	}
-	return d
+	req := [1]Request{{Label: lbl, Size: size}}
+	var out [1]Decision
+	s.ScheduleBatch(req[:], out[:])
+	return out[0]
 }
 
 // labelPathContains reports whether c is on the label's hierarchy path.
@@ -178,53 +74,51 @@ func (s *Scheduler) maybeUpdate(c *tree.Class, st *classState, now int64, d *Dec
 			}
 		}
 	}
-	switch s.cfg.Lock {
-	case PerClassTryLock:
-		if st.mu.TryLock() {
-			//fv:coldpath epoch roll: runs once per UpdateIntervalNs per class, amortized off the per-packet path
-			if s.updateLocked(c, st, now) {
-				d.Updates++
-			}
-			st.mu.Unlock()
-		} else {
-			d.LockMisses++
-		}
-	case GlobalLock:
+	if s.cfg.Lock == GlobalLock {
+		// The naive-port ablation of Fig 7-(b) funnels every packet's
+		// epoch check through the one blocking lock.
 		s.globalMu.Lock()
 		//fv:coldpath epoch roll: runs once per UpdateIntervalNs per class, amortized off the per-packet path
-		if s.updateLocked(c, st, now) {
+		if s.update(c, st, now, true) {
 			d.Updates++
 		}
 		s.globalMu.Unlock()
-	case NoLock:
-		// Ablation: races between epochs permitted.
-		//fv:racy-ok NoLock mode exists to measure exactly this race; see DESIGN.md locking ablations
-		if s.updateRacy(c, st, now) { //fv:coldpath epoch roll: runs once per UpdateIntervalNs per class, amortized off the per-packet path
+		return
+	}
+	// Pre-lock epoch check: a class whose epoch is not due has nothing
+	// for the lock to guard, so the common packet skips the
+	// TryLock/Unlock pair, and a miss is counted only when an update was
+	// due.
+	if now-st.lastUpdate.Load() < s.cfg.UpdateIntervalNs {
+		return
+	}
+	switch {
+	case st.mu.TryLock():
+		//fv:coldpath epoch roll: runs once per UpdateIntervalNs per class, amortized off the per-packet path
+		if s.update(c, st, now, true) {
 			d.Updates++
 		}
+		st.mu.Unlock()
+	case s.cfg.Lock == NoLock:
+		// Ablation: races between epochs permitted — a contended
+		// update runs anyway, only without the lock-guarded scratch.
+		//fv:racy-ok NoLock mode exists to measure exactly this race; see DESIGN.md locking ablations
+		if s.update(c, st, now, false) { //fv:coldpath epoch roll: runs once per UpdateIntervalNs per class, amortized off the per-packet path
+			d.Updates++
+		}
+	default:
+		d.LockMisses++
 	}
 }
 
-// recordForward counts a forwarded packet against every class on the path
-// (estimators feeding Γ) and the leaf's forward statistics. It returns the
-// leaf's new forward-packet ordinal, which the telemetry hook reuses as
-// its sampling sequence — tracing costs the unsampled path nothing.
-//
-//fv:hotpath
-func (s *Scheduler) recordForward(lbl *tree.Label, sz int64) int64 {
-	for _, c := range lbl.Path {
-		s.states[c.ID].est.Count(sz)
-	}
-	lst := &s.states[lbl.Leaf.ID]
-	n := lst.fwdPkts.Add(1)
-	lst.fwdBytes.Add(sz)
-	return n
-}
-
-// updateLocked runs the update subprocedure for class c if its epoch has
-// elapsed, returning whether an update executed. Caller holds st.mu (or
-// the global lock).
-func (s *Scheduler) updateLocked(c *tree.Class, st *classState, now int64) bool {
+// update runs the update subprocedure for class c if its epoch has
+// elapsed, returning whether an update executed. locked reports that the
+// caller holds st.mu (or the global lock). Only the NoLock ablation
+// calls it unlocked — when another core holds the class lock — and then
+// its epoch arithmetic deliberately races; the one thing that differs is
+// that ChildRates computes into a fresh slice instead of the
+// lock-guarded scratch, so the ablation races epochs, never the scratch.
+func (s *Scheduler) update(c *tree.Class, st *classState, now int64, locked bool) bool {
 	last := st.lastUpdate.Load()
 	dt := now - last
 	if dt < s.cfg.UpdateIntervalNs {
@@ -324,8 +218,14 @@ func (s *Scheduler) updateLocked(c *tree.Class, st *classState, now int64) bool 
 	// Recompute the children's token rates from the condition templates
 	// (priority residual / weights / guarantees / ceilings).
 	if len(c.Children) > 0 {
-		rates := tree.ChildRates(c, theta, s.gammaFuncAt(now), st.rateScratch)
-		st.rateScratch = rates
+		var scratch []float64
+		if locked {
+			scratch = st.rateScratch
+		}
+		rates := tree.ChildRates(c, theta, s.gammaFuncAt(now), scratch)
+		if locked {
+			st.rateScratch = rates
+		}
 		for i, ch := range c.Children {
 			s.states[ch.ID].theta.Store(rates[i])
 		}
@@ -334,76 +234,6 @@ func (s *Scheduler) updateLocked(c *tree.Class, st *classState, now int64) bool 
 	if h != nil && h.updateDur != nil {
 		h.updateDur.Observe(float64(s.clk.Now() - t0))
 	}
-	return true
-}
-
-// updateRacy is the NoLock ablation: identical logic but callable
-// concurrently — epoch arithmetic is deliberately allowed to race. The
-// ChildRates scratch is reused from st.rateScratch whenever the class
-// lock is free (one uncontended CAS — it always is in the
-// single-threaded DES, where this used to allocate every epoch); only
-// a genuinely contended update falls back to a fresh allocation, so
-// the ablation's numbers measure racing epochs, not the allocator,
-// while the scratch itself never becomes a data race.
-func (s *Scheduler) updateRacy(c *tree.Class, st *classState, now int64) bool {
-	last := st.lastUpdate.Load()
-	dt := now - last
-	if dt < s.cfg.UpdateIntervalNs {
-		return false
-	}
-	st.lastUpdate.Store(now)
-	// Subprocedure 3, as in updateLocked: a long-idle class restarts
-	// fresh (including the lend ledger) instead of replaying the gap.
-	if dt > s.cfg.ExpireAfterNs {
-		st.est.Reset()
-		st.bucket.Reset(s.burstFor(st.theta.Load(), s.cfg.BurstNs))
-		st.shadow.Reset(0)
-		st.lendRate.Store(0)
-		st.lentEpoch.Store(0)
-		st.lendCarry.Store(0)
-		dt = s.cfg.UpdateIntervalNs
-	}
-	consumed, _ := st.est.Roll(dt)
-	lent := st.lentEpoch.Swap(0)
-	own := consumed - lent
-	if own < 0 {
-		own = 0
-	}
-	theta := st.theta.Load()
-	supplement := int64(theta * float64(dt) / 1e9)
-	st.bucket.SetBurst(s.burstFor(theta, s.cfg.BurstNs))
-	absorbed := st.bucket.Refill(supplement)
-	if s.shard != nil && c.Parent == nil {
-		// Sharded mode: root lending and child rates are global
-		// decisions taken at settlement (see updateLocked).
-		st.updates.Add(1)
-		return true
-	}
-	st.lendRate.Store(tree.Lendable(theta, st.est.Rate()))
-	st.shadow.SetBurst(s.burstFor(theta, s.cfg.ShadowBurstNs))
-	unused := supplement - absorbed
-	if !c.Leaf() {
-		unused = s.interiorUnused(st, supplement, own, theta)
-	}
-	if unused > 0 {
-		st.shadow.Refill(unused)
-	}
-	if len(c.Children) > 0 {
-		if st.mu.TryLock() {
-			rates := tree.ChildRates(c, theta, s.gammaFuncAt(now), st.rateScratch)
-			st.rateScratch = rates
-			for i, ch := range c.Children {
-				s.states[ch.ID].theta.Store(rates[i])
-			}
-			st.mu.Unlock()
-		} else {
-			rates := tree.ChildRates(c, theta, s.gammaFuncAt(now), nil)
-			for i, ch := range c.Children {
-				s.states[ch.ID].theta.Store(rates[i])
-			}
-		}
-	}
-	st.updates.Add(1)
 	return true
 }
 
@@ -455,7 +285,7 @@ func (s *Scheduler) ForceUpdate() {
 		st.mu.Lock()
 		// Rewind lastUpdate just enough to satisfy the epoch check.
 		st.lastUpdate.Store(now - s.cfg.UpdateIntervalNs)
-		s.updateLocked(c, st, now)
+		s.update(c, st, now, true)
 		st.mu.Unlock()
 	}
 }

@@ -4,12 +4,12 @@
 // A Scheduler holds the runtime state of one scheduling tree: per-class
 // token buckets (limiting at leaves, measuring at interior nodes), shadow
 // buckets publishing lendable bandwidth, consumption-rate estimators, and
-// the per-class update locks. The Schedule method is Algorithm 1 verbatim:
-// walk the packet's hierarchy label root→leaf performing opportunistic
-// (try-lock) epoch updates and consumption counting, meter at the leaf,
-// borrow from the shadow buckets named in the borrowing label on red, and
-// otherwise drop — the "specialized tail drop" that assigns the NIC's
-// single FIFO conceptually among classes.
+// the per-class update locks. ScheduleBatch is Algorithm 1, and Schedule
+// is its burst of one: walk the packet's hierarchy label root→leaf
+// performing opportunistic (try-lock) epoch updates and consumption
+// counting, meter at the leaf, borrow from the shadow buckets named in
+// the borrowing label on red, and otherwise drop — the "specialized tail
+// drop" that assigns the NIC's single FIFO conceptually among classes.
 //
 // The scheduler is time-source-agnostic (clock.Clock) and safe for
 // concurrent use: under the discrete-event NIC model it is driven

@@ -486,7 +486,7 @@ func (ss *ShardedScheduler) ForceSettle() {
 //  1. Root child rates: assemble the global Γ picture from the owner
 //     shards and run the condition templates once, writing each
 //     top-level class's θ back to its owner replica. (Per-replica root
-//     updates skip this — see updateLocked.)
+//     updates skip this — see Scheduler.update.)
 //  2. Root lendable: aggregate root Γ across replicas, mint the
 //     lendable supply once into the root owner's shadow bucket.
 //  3. Lease settlement per cross-shard lender: fold the borrower

@@ -70,8 +70,10 @@ type Decision struct {
 	Updates int
 	// LockMisses counts try-lock failures (another core held the class
 	// lock) while producing this decision — only meaningful under real
-	// concurrency. Attributed like Updates: at most once per class per
-	// batch, on the decision that attempted the update.
+	// concurrency. A miss is counted only when the class's epoch was
+	// due: a class with no update due is not locked at all. Attributed
+	// like Updates: at most once per class per batch, on the decision
+	// that attempted the update.
 	LockMisses int
 	// Batched is the number of packets scheduled by the call that
 	// produced this decision: 1 for Schedule, the batch length for

@@ -115,14 +115,16 @@ type Config struct {
 	// buffers are collected and re-linked to the free lists on this
 	// cadence, not instantly (§III-B's manager core).
 	BufferRecycleNs int64
-	// BatchSize is the Rx service burst: a worker context pulls up to
-	// this many ring packets per service routine, classifying and
-	// scheduling them in one pass so per-batch fixed costs (ring
+	// BatchSize is the most ring packets a worker context pulls into one
+	// service routine. Every routine is a burst — classified, scheduled
+	// and charged in one pass, with the per-batch fixed costs (ring
 	// doorbell, buffer credit pull, reorder-slot allocation — the
-	// CostModel.PipelineBatch share) are charged once, mirroring the
-	// NP's context pipelining. Bursts form under backpressure; an
-	// unloaded NIC still services packets as they arrive. The default
-	// of 1 preserves the unbatched per-packet pipeline exactly.
+	// CostModel.PipelineBatch share) paid once per burst, mirroring the
+	// NP's context pipelining. At the default of 1 every burst is a
+	// single packet and a packet that finds a free context is served on
+	// arrival. Above 1, arrivals queue in their Rx ring first and a free
+	// context drains up to BatchSize of them; bursts form under
+	// backpressure, and an unloaded NIC still services singly.
 	BatchSize int
 	// ShardRingPkts bounds each scheduler-shard feed ring when the
 	// attached scheduling function is sharded (dataplane.Sharder with
@@ -229,10 +231,10 @@ type NIC struct {
 	sched atomic.Pointer[schedRef]
 	cb    Callbacks
 
-	// Batch-mode scratch (allocated once when BatchSize > 1): the
-	// in-flight service burst and its per-packet classification,
-	// scheduling, and outcome state. A service routine runs to
-	// completion within one event, so one set suffices.
+	// Burst scratch (allocated once, BatchSize long): the in-flight
+	// service burst and its per-packet classification, scheduling, and
+	// outcome state. A service routine runs to completion within one
+	// event, so one set suffices.
 	batchBuf    []*packet.Packet
 	batchLbls   []*tree.Label
 	batchHits   []bool
@@ -428,19 +430,18 @@ func New(eng *sim.Engine, cfg Config, cls *classifier.Classifier, sched dataplan
 	for i := range n.ports {
 		n.ports[i] = &wirePort{queue: pktq.New(0, cfg.TMQueueBytes)}
 	}
-	if b := cfg.BatchSize; b > 1 {
-		n.batchBuf = make([]*packet.Packet, 0, b)
-		n.batchLbls = make([]*tree.Label, b)
-		n.batchHits = make([]bool, b)
-		n.batchEvict = make([]bool, b)
-		n.batchReqs = make([]dataplane.Request, 0, b)
-		n.batchDecs = make([]dataplane.Decision, b)
-		n.batchFwd = make([]bool, b)
-		n.batchReason = make([]DropReason, b)
-		n.batchShard = make([]int32, b)
-		n.batchShardDrop = make([]bool, b)
-		n.batchSlowLeaf = make([]*tree.Class, b)
-	}
+	b := cfg.BatchSize
+	n.batchBuf = make([]*packet.Packet, 0, b)
+	n.batchLbls = make([]*tree.Label, b)
+	n.batchHits = make([]bool, b)
+	n.batchEvict = make([]bool, b)
+	n.batchReqs = make([]dataplane.Request, 0, b)
+	n.batchDecs = make([]dataplane.Decision, b)
+	n.batchFwd = make([]bool, b)
+	n.batchReason = make([]DropReason, b)
+	n.batchShard = make([]int32, b)
+	n.batchShardDrop = make([]bool, b)
+	n.batchSlowLeaf = make([]*tree.Class, b)
 	return n, nil
 }
 
@@ -530,7 +531,7 @@ func (n *NIC) Inject(p *packet.Packet) {
 		return
 	}
 	if c := n.grabCluster(); c != nil {
-		n.beginService(p, c)
+		n.beginServiceBatch(append(n.batchBuf[:0], p), c)
 		return
 	}
 	ring := n.ringFor(p.App)
@@ -602,110 +603,6 @@ func (n *NIC) ringFor(app packet.AppID) *pktq.FIFO {
 	return ring
 }
 
-// beginService runs the run-to-completion pipeline for one packet on a
-// worker core: classify, schedule, and (after the modelled service time)
-// hand the completion to the reorder system.
-func (n *NIC) beginService(p *packet.Packet, cl *cluster) {
-	seq := n.seqIssue
-	n.seqIssue++
-
-	lbl, hit, evicted := n.cls.LookupEv(p)
-
-	cycles := n.cfg.Costs.Pipeline + n.cfg.Costs.Parse
-	if hit {
-		cycles += n.cfg.Costs.CacheHit
-	} else {
-		cycles += n.cfg.Costs.CacheMiss
-		if evicted {
-			cycles += n.cfg.Costs.CacheEvict
-		}
-	}
-
-	// Offload lookup: the flow-binding check against the rule table.
-	// Packets of un-offloaded flows pay the exception-path charge here
-	// and the host detour below (only if they survive scheduling).
-	fast := true
-	if n.off != nil && lbl != nil {
-		fast = n.off.ctl.Observe(p.App, p.Flow, p.WireBytes())
-		if !fast {
-			cycles += n.cfg.Costs.SlowPath
-		}
-	}
-
-	ref := n.sched.Load()
-	sched := ref.s
-	forward := true
-	var reason DropReason
-	switch {
-	case lbl == nil:
-		forward = false
-		reason = DropUnclassified
-	case sched != nil:
-		if ref.shards > 1 {
-			// Single-packet service still steers to the owner shard
-			// and rings its doorbell; a lone packet cannot overflow a
-			// feed lane, so no occupancy model is needed here.
-			cycles += n.cfg.Costs.ShardSteer + n.cfg.Costs.ShardDoorbell
-		}
-		// Tokens are charged in wire bytes (frame + preamble/IFG):
-		// the policy rates are link rates, and charging frame bytes
-		// only would over-subscribe the wire by the per-frame
-		// overhead (the linklayer overhead accounting of real
-		// shapers).
-		d := sched.Schedule(lbl, p.WireBytes())
-		cycles += n.cfg.Costs.SchedPerClass*int64(len(lbl.Path)) + n.cfg.Costs.Meter
-		cycles += n.cfg.Costs.Update * int64(d.Updates)
-		if d.Verdict == dataplane.Drop || d.Borrowed {
-			// Red leaf meter ⇒ the borrow chain was walked (fully
-			// on drop, partially on a successful borrow).
-			cycles += n.cfg.Costs.Borrow * int64(len(lbl.Borrow))
-		}
-		if d.Verdict == dataplane.Drop {
-			forward = false
-			reason = DropSched
-		}
-		p.Marked = d.Marked
-	}
-	// A forwarded packet of an un-offloaded flow detours through the
-	// scheduled host slow path; admission (and any shed) happens at
-	// completion time against the slow path's backlog then.
-	var slowLeaf *tree.Class
-	if forward && !fast {
-		slowLeaf = lbl.Leaf
-	}
-	if forward {
-		cycles += n.cfg.Costs.TxEnqueue
-	}
-
-	n.stats.BusyCycles += float64(cycles)
-	if n.tel != nil {
-		n.tel.busyCycles.Add(cycles)
-	}
-	for i, c := range n.clusters {
-		if c == cl {
-			n.stats.ClusterBusyCycles[i] += float64(cycles)
-			break
-		}
-	}
-
-	// Latency includes the memory stalls; ME occupancy hides them
-	// behind the other thread contexts (§III-B). The ME is released to
-	// pull its next packet after the occupancy time; the packet itself
-	// completes (reorder system → traffic manager) after the full
-	// latency.
-	total := cycles + n.cfg.Costs.MemStall
-	occupancy := (total + int64(n.cfg.ThreadsPerME) - 1) / int64(n.cfg.ThreadsPerME)
-	if occupancy < cycles {
-		occupancy = cycles
-	}
-	occupancyNs := int64(float64(occupancy) / n.cfg.CoreFreqHz * 1e9)
-	latencyNs := int64(float64(total) / n.cfg.CoreFreqHz * 1e9)
-	n.eng.After(occupancyNs, func() { n.releaseContext(cl) })
-	n.eng.After(latencyNs, func() {
-		n.completeService(p, seq, forward, reason, slowLeaf)
-	})
-}
-
 // releaseContext returns a micro-engine context to service: it pulls the
 // next waiting packet (or burst) or goes idle. A pending stall window
 // with outstanding debt captures the context instead (see StallCores).
@@ -713,19 +610,12 @@ func (n *NIC) releaseContext(cl *cluster) {
 	if len(n.stalls) > 0 && n.parkIfStalled(cl) {
 		return
 	}
-	if n.cfg.BatchSize > 1 {
-		n.serviceBatch(cl)
-		return
-	}
-	if next := n.pullNext(); next != nil {
-		n.beginService(next, cl)
-	} else {
-		cl.idle++
-	}
+	n.serviceBatch(cl)
 }
 
 // beginServiceBatch runs the run-to-completion pipeline for a burst of
-// packets on one worker context: classify the burst, schedule it in one
+// packets on one worker context — the NIC's only service routine; a
+// lone packet is a burst of one: classify the burst, schedule it in one
 // ScheduleBatch pass, charge the per-batch fixed cycles once and the
 // per-packet stages per packet, then hand every completion to the
 // reorder system at the batch's service latency.
@@ -745,36 +635,34 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 	// the shard engines drain all lanes within this service event.
 	ref := n.sched.Load()
 	sched := ref.s
+	var shards []int32
 	if ref.lanes != nil {
-		n.cls.ClassifyBatchSteerEv(batch, lbls, hits, evs, ref.owners, n.batchShard[:k])
-	} else {
-		n.cls.ClassifyBatchEv(batch, lbls, hits, evs)
+		shards = n.batchShard[:k]
 	}
+	n.cls.ClassifyBurst(batch, lbls, hits, evs, ref.owners, shards)
 	var decs []dataplane.Decision
 	doorbells := 0
 	if sched != nil {
 		reqs := n.batchReqs[:0]
-		if ref.lanes != nil {
-			shardDrop := n.batchShardDrop[:k]
-			for i := 0; i < k; i++ {
-				if lbls[i] == nil {
-					continue
-				}
-				if !ref.lanes.Offer(int(n.batchShard[i])) {
-					shardDrop[i] = true
-					continue
-				}
-				shardDrop[i] = false
-				reqs = append(reqs, dataplane.Request{Label: lbls[i], Size: batch[i].WireBytes()})
+		shardDrop := n.batchShardDrop[:k]
+		for i := 0; i < k; i++ {
+			if lbls[i] == nil {
+				continue
 			}
+			shardDrop[i] = ref.lanes != nil && !ref.lanes.Offer(int(shards[i]))
+			if shardDrop[i] {
+				continue
+			}
+			// Tokens are charged in wire bytes (frame +
+			// preamble/IFG): the policy rates are link rates, and
+			// charging frame bytes only would over-subscribe the
+			// wire by the per-frame overhead (the linklayer overhead
+			// accounting of real shapers).
+			reqs = append(reqs, dataplane.Request{Label: lbls[i], Size: batch[i].WireBytes()})
+		}
+		if ref.lanes != nil {
 			doorbells = ref.lanes.Touched()
 			ref.lanes.DrainAll()
-		} else {
-			for i := 0; i < k; i++ {
-				if lbls[i] != nil {
-					reqs = append(reqs, dataplane.Request{Label: lbls[i], Size: batch[i].WireBytes()})
-				}
-			}
 		}
 		n.batchReqs = reqs[:0]
 		if len(reqs) > 0 {
@@ -801,9 +689,12 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 				pc += n.cfg.Costs.CacheEvict
 			}
 		}
-		// Offload lookup, as in the per-packet path: shard-dropped
-		// packets are still observed (the flow-binding check precedes
-		// the feed-lane offer on the NP pipeline).
+		// Offload lookup: the flow-binding check against the rule
+		// table. Packets of un-offloaded flows pay the exception-path
+		// charge here and the host detour below (only if they survive
+		// scheduling). Shard-dropped packets are still observed (the
+		// flow-binding check precedes the feed-lane offer on the NP
+		// pipeline).
 		fast := true
 		if n.off != nil && lbls[i] != nil {
 			fast = n.off.ctl.Observe(p.App, p.Flow, p.WireBytes())
@@ -817,7 +708,7 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 		case lbls[i] == nil:
 			forward = false
 			reason = DropUnclassified
-		case sched != nil && ref.lanes != nil && n.batchShardDrop[i]:
+		case sched != nil && n.batchShardDrop[i]:
 			// Steered, but the shard's feed lane was full; the packet
 			// never reached the scheduling function.
 			pc += n.cfg.Costs.ShardSteer
@@ -832,6 +723,8 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 			pc += n.cfg.Costs.SchedPerClass*int64(len(lbls[i].Path)) + n.cfg.Costs.Meter
 			pc += n.cfg.Costs.Update * int64(d.Updates)
 			if d.Verdict == dataplane.Drop || d.Borrowed {
+				// Red leaf meter ⇒ the borrow chain was walked (fully
+				// on drop, partially on a successful borrow).
 				pc += n.cfg.Costs.Borrow * int64(len(lbls[i].Borrow))
 			}
 			if d.Verdict == dataplane.Drop {
@@ -840,6 +733,10 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 			}
 			p.Marked = d.Marked
 		}
+		// A forwarded packet of an un-offloaded flow detours through
+		// the scheduled host slow path; admission (and any shed)
+		// happens at completion time against the slow path's backlog
+		// then.
 		n.batchSlowLeaf[i] = nil
 		if forward && !fast {
 			n.batchSlowLeaf[i] = lbls[i].Leaf
@@ -863,10 +760,12 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 		}
 	}
 
-	// One memory-stall window per burst: the batch's contexts overlap
-	// their stalls exactly as the ME's thread contexts do (§III-B), so
-	// the stall shows up once in latency and is hidden from occupancy
-	// by the thread contexts as in the per-packet path.
+	// One memory-stall window per burst: latency includes it, while ME
+	// occupancy hides it behind the other thread contexts (§III-B), the
+	// batch's contexts overlapping their stalls exactly as the ME's
+	// thread contexts do. The ME is released to pull its next burst
+	// after the occupancy time; the packets themselves complete
+	// (reorder system → traffic manager) after the full latency.
 	total := cycles + n.cfg.Costs.MemStall
 	occupancy := (total + int64(n.cfg.ThreadsPerME) - 1) / int64(n.cfg.ThreadsPerME)
 	if occupancy < cycles {

@@ -15,8 +15,6 @@
 package sim
 
 import (
-	"container/heap"
-
 	"flowvalve/internal/clock"
 	"flowvalve/internal/fvassert"
 )
@@ -31,32 +29,57 @@ type event struct {
 	fn  Func
 }
 
+// eventHeap is a binary min-heap on (at, seq). It is typed rather than
+// driven through container/heap, so a push or pop moves the event by
+// value instead of boxing it into an interface — two allocations per
+// simulated event otherwise.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(event)
-	if !ok {
-		panic("sim: eventHeap.Push called with non-event value")
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	*h = append(*h, ev)
+	*h = q
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
+// pop removes and returns the earliest event. The vacated tail slot is
+// cleared so the heap's spare capacity does not keep finished closures
+// (and everything they capture) alive.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	ev := q[0]
+	q[0] = q[n]
+	q[n] = event{}
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q.less(r, m) {
+			m = r
+		}
+		if !q.less(m, i) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
 	return ev
 }
 
@@ -91,7 +114,7 @@ func (e *Engine) At(t int64, fn Func) {
 		panic("sim: Engine.At schedules event in the past")
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -109,10 +132,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev, ok := heap.Pop(&e.events).(event)
-	if !ok {
-		panic("sim: event heap contained non-event value")
-	}
+	ev := e.events.pop()
 	if fvassert.Enabled && ev.at < e.clk.Now() {
 		fvassert.Failf("sim: event scheduled at t=%d fired with clock already at %d: causality violated",
 			ev.at, e.clk.Now())

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +54,80 @@ func TestEventsMayScheduleEvents(t *testing.T) {
 	}
 	if e.Now() != 50 {
 		t.Fatalf("final time = %d, want 50", e.Now())
+	}
+}
+
+// The typed heap must fire events in (time, schedule order) — the order
+// a stable sort by time of every scheduled event gives — under seeded
+// random arrivals with heavy timestamp collisions and callbacks that
+// schedule more events (including at the current instant) while the
+// heap drains.
+func TestHeapOrderMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := New()
+		type rec struct {
+			at int64
+			id int
+		}
+		var scheduled []rec
+		var fired []int
+		var schedule func(at int64)
+		schedule = func(at int64) {
+			id := len(scheduled)
+			scheduled = append(scheduled, rec{at: at, id: id})
+			e.At(at, func() {
+				fired = append(fired, id)
+				if len(scheduled) < 6000 {
+					for k := rng.Intn(3); k > 0; k-- {
+						schedule(e.Now() + int64(rng.Intn(4)))
+					}
+				}
+			})
+		}
+		for i := 0; i < 2000; i++ {
+			schedule(int64(rng.Intn(64)))
+		}
+		e.RunUntil(20)
+		for i := 0; i < 200; i++ {
+			schedule(e.Now() + int64(rng.Intn(8)))
+		}
+		e.Run()
+
+		sort.SliceStable(scheduled, func(a, b int) bool { return scheduled[a].at < scheduled[b].at })
+		if len(fired) != len(scheduled) {
+			t.Fatalf("seed %d: fired %d of %d scheduled events", seed, len(fired), len(scheduled))
+		}
+		for i, r := range scheduled {
+			if fired[i] != r.id {
+				t.Fatalf("seed %d: event %d fired %d, want %d (t=%d)", seed, i, fired[i], r.id, r.at)
+			}
+		}
+		for i, ev := range e.events[:cap(e.events)] {
+			if ev.fn != nil {
+				t.Fatalf("seed %d: drained heap still holds a callback in slot %d", seed, i)
+			}
+		}
+	}
+}
+
+// Scheduling and firing an event allocates nothing once the heap has
+// grown: the event moves by value, never boxed into an interface.
+func TestAtStepAllocateNothing(t *testing.T) {
+	e := New()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.After(int64(i), fn)
+	}
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.After(5, fn)
+		e.At(e.Now()+3, fn)
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Step allocated %.1f times per run, want 0", allocs)
 	}
 }
 

@@ -76,17 +76,25 @@ type counterShard struct {
 	_ [cacheLine - 8]byte
 }
 
-// counterShards is the shard fan-out (power of two). 16 shards cover the
-// NP model's worker-goroutine counts without measurable collision cost.
-const counterShards = 16
+// counterShards is the shard fan-out (a power of two, 1<<counterShardBits).
+// 16 shards cover the NP model's worker-goroutine counts without
+// measurable collision cost.
+const (
+	counterShardBits = 4
+	counterShards    = 1 << counterShardBits
+)
 
 // shardIndex derives a cheap shard hint from the address of a stack
 // variable: goroutine stacks are disjoint, so concurrent writers spread
 // across shards. It is only a hint — any value is correct, collisions
-// merely contend.
+// merely contend. Stacks are allocated at fixed size-class strides, so a
+// plain shift of the address leaves shards unreachable (>>10 hits only
+// the odd ones); the Fibonacci multiply folds every address bit into the
+// top bits that pick the shard.
 func shardIndex() int {
 	var b byte
-	return int(uintptr(unsafe.Pointer(&b))>>10) & (counterShards - 1)
+	a := uint64(uintptr(unsafe.Pointer(&b)))
+	return int(a * 0x9e3779b97f4a7c15 >> (64 - counterShardBits))
 }
 
 // Counter is a monotonically increasing sharded atomic counter. The zero

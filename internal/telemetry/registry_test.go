@@ -40,6 +40,43 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// Concurrent writers must spread across the counter's shards: 64 live
+// goroutines, each adding once, have to reach more than half of the 16
+// shards (a plain shift of the stack address reaches only the 8 odd
+// ones).
+func TestCounterShardsSpreadAcrossGoroutines(t *testing.T) {
+	var c Counter
+	const workers = 64
+	var added, done sync.WaitGroup
+	added.Add(workers)
+	done.Add(1)
+	var exited sync.WaitGroup
+	exited.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer exited.Done()
+			c.Add(1)
+			added.Done()
+			done.Wait() // stay alive so no two writers share a stack
+		}()
+	}
+	added.Wait()
+	done.Done()
+	exited.Wait()
+	used := 0
+	for i := range c.shards {
+		if c.shards[i].n.Load() != 0 {
+			used++
+		}
+	}
+	if c.Value() != workers {
+		t.Fatalf("Value = %d, want %d", c.Value(), workers)
+	}
+	if used <= counterShards/2 {
+		t.Fatalf("%d goroutines landed on %d of %d shards, want more than %d", workers, used, counterShards, counterShards/2)
+	}
+}
+
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("depth", "queue depth")
