@@ -18,13 +18,21 @@ import (
 // instant of every delivered packet, plus every drop) — to one string.
 func determinismRun(tb testing.TB, backend string, seed uint64) string {
 	tb.Helper()
+	dump, _ := determinismRunPolicy(tb, backend, PolicyWFQ, seed)
+	return dump
+}
+
+// determinismRunPolicy is determinismRun under any rank policy; it also
+// returns the structure's admission counters.
+func determinismRunPolicy(tb testing.TB, backend, policy string, seed uint64) (string, QueueStats) {
+	tb.Helper()
 	const (
 		apps       = 4
 		durationNs = 10_000_000
 		linkBps    = 1e9
 	)
 	eng := sim.New()
-	pol, err := NewPolicy(PolicyWFQ, apps, linkBps)
+	pol, err := NewPolicy(policy, apps, linkBps)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -58,7 +66,7 @@ func determinismRun(tb testing.TB, backend string, seed uint64) string {
 		}
 	}
 	eng.RunUntil(2 * durationNs)
-	return reg.Dump() + "\n---\n" + trace.String()
+	return reg.Dump() + "\n---\n" + trace.String(), q.QueueStats()
 }
 
 // TestSeededRunsBitIdentical mirrors the repo-wide determinism
