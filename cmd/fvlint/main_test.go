@@ -142,9 +142,39 @@ func TestHotClosureCoversKnownRoots(t *testing.T) {
 		"core.(Scheduler).maybeUpdate",
 		"core.(shardCtx).tryLease",
 		"token.(Bucket).TryConsume",
+		"pifo.(bank).admit",
+		"pifo.(bank).drain",
 	} {
 		if !hot[want] {
 			t.Errorf("%s fell out of the hot closure — a coldpath cut severed a genuinely hot edge", want)
+		}
+	}
+	// The pifo admission kernel is reached from the label plane's batch
+	// root by static calls alone: no interface dispatch (which ends
+	// propagation) sits between them, so the kernel is in ScheduleBatch's
+	// closure by reachability, not only by its own annotations.
+	reach := map[string]bool{}
+	var visit func(n *analysis.FuncNode)
+	visit = func(n *analysis.FuncNode) {
+		name := analysis.FuncName(n.Obj)
+		if reach[name] {
+			return
+		}
+		reach[name] = true
+		for _, cs := range n.Calls {
+			if callee := g.Node(cs.Callee); callee != nil {
+				visit(callee)
+			}
+		}
+	}
+	for _, n := range g.Nodes() {
+		if analysis.FuncName(n.Obj) == "pifo.(Sched).ScheduleBatch" {
+			visit(n)
+		}
+	}
+	for _, want := range []string{"pifo.(bank).admit", "pifo.(bank).drain"} {
+		if !reach[want] {
+			t.Errorf("%s is not statically reachable from pifo.(Sched).ScheduleBatch", want)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func TestQueueHotPathZeroAlloc(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			cfg := Config{Backend: backend}
 			cfg.Defaults()
-			rq, err := newQueue(&cfg, func() int64 { return 0 })
+			rq, err := newQueue(&cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestQueueHotPathZeroAlloc(t *testing.T) {
 			cycle := func() {
 				for i := 0; i < 16; i++ {
 					seq++
-					rq.push(entry{rank: Rank(rng.Int63n(1 << 20)), seq: seq, pkt: p})
+					rq.push(entry{rank: Rank(rng.Int63n(1 << 20)), seq: seq, pkt: p}, 0)
 				}
 				for i := 0; i < 16; i++ {
 					rq.pop()
@@ -98,7 +98,7 @@ func BenchmarkQueuePushPop(b *testing.B) {
 		b.Run(spec.Name, func(b *testing.B) {
 			cfg := Config{Backend: spec.Name}
 			cfg.Defaults()
-			rq, err := newQueue(&cfg, func() int64 { return 0 })
+			rq, err := newQueue(&cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -107,12 +107,12 @@ func BenchmarkQueuePushPop(b *testing.B) {
 			rng := sim.NewRNG(5)
 			// Keep ~512 entries resident so pops traverse real state.
 			for i := 0; i < 512; i++ {
-				rq.push(entry{rank: Rank(rng.Int63n(1 << 20)), seq: uint64(i), pkt: p})
+				rq.push(entry{rank: Rank(rng.Int63n(1 << 20)), seq: uint64(i), pkt: p}, 0)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rq.push(entry{rank: Rank(rng.Int63n(1 << 20)), seq: uint64(i + 512), pkt: p})
+				rq.push(entry{rank: Rank(rng.Int63n(1 << 20)), seq: uint64(i + 512), pkt: p}, 0)
 				rq.pop()
 			}
 		})

@@ -266,7 +266,7 @@ func TestQdiscConformance(t *testing.T) {
 // bounds chase admitted ranks upward, and an arrival better than every
 // bound shifts the whole vector down by its miss cost.
 func TestSPPIFOAdaptsBounds(t *testing.T) {
-	q := newSPPIFO(16, 2)
+	q := newBank(&Config{Backend: BackendSPPIFO, CapPkts: 16, Bands: 2}, 1)
 	if band := q.admitBand(10); band != 1 {
 		t.Fatalf("rank 10 mapped to band %d, want lowest-priority band 1", band)
 	}

@@ -73,7 +73,7 @@ func (q *eiffel) slotFor(r Rank) int64 {
 }
 
 //fv:hotpath
-func (q *eiffel) push(e entry) (entry, bool) {
+func (q *eiffel) push(e entry, _ int64) (entry, bool) {
 	if q.size >= q.cap {
 		q.st.FullDrops++
 		return entry{}, false

@@ -22,7 +22,7 @@ func newExactPIFO(capPkts int) *exactPIFO {
 var _ rankQueue = (*exactPIFO)(nil)
 
 //fv:hotpath
-func (q *exactPIFO) push(e entry) (entry, bool) {
+func (q *exactPIFO) push(e entry, _ int64) (entry, bool) {
 	if len(q.heap) >= q.cap {
 		// Cold overload path: find the worst entry (max rank, newest
 		// arrival). O(n) scan, but only while saturated, and capacity

@@ -70,7 +70,7 @@ func TestExactPIFOMatchesNaiveOracle(t *testing.T) {
 					pkt:  alloc.New(packet.FlowID(seq), 0, 64, 0),
 				}
 				seq++
-				hevict, hok := heap.push(e)
+				hevict, hok := heap.push(e, 0)
 				oevict, ook := oracle.push(e)
 				if hok != ook {
 					t.Fatalf("seed %d op %d: heap admitted=%v oracle admitted=%v", seed, op, hok, ook)
@@ -112,7 +112,7 @@ func TestExactPIFOStableTies(t *testing.T) {
 	q := newExactPIFO(16)
 	var alloc packet.Alloc
 	for i := uint64(0); i < 8; i++ {
-		q.push(entry{rank: 42, seq: i, pkt: alloc.New(packet.FlowID(i), 0, 64, 0)})
+		q.push(entry{rank: 42, seq: i, pkt: alloc.New(packet.FlowID(i), 0, 64, 0)}, 0)
 	}
 	for i := uint64(0); i < 8; i++ {
 		e, ok := q.pop()

@@ -143,25 +143,18 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// newQueue builds the configured rankQueue. nowNs supplies the
-// admission clock for time-dependent backends (fvrank).
-func newQueue(cfg *Config, nowNs func() int64) (rankQueue, error) {
+// newQueue builds the configured Qdisc-plane structure: the exact PIFO
+// and Eiffel keep their own; every other backend is the admission
+// kernel over per-band FIFOs.
+func newQueue(cfg *Config) (rankQueue, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	switch cfg.Backend {
 	case BackendPIFO:
 		return newExactPIFO(cfg.CapPkts), nil
-	case BackendSPPIFO:
-		return newSPPIFO(cfg.CapPkts, cfg.Bands), nil
-	case BackendAIFO:
-		return newAIFO(cfg.CapPkts, cfg.WindowPkts, cfg.Headroom), nil
-	case BackendRIFO:
-		return newRIFO(cfg.CapPkts, cfg.WindowPkts), nil
 	case BackendEiffel:
 		return newEiffel(cfg.CapPkts, cfg.Buckets, cfg.BucketNs), nil
-	case BackendTaildrop:
-		return newTaildrop(cfg.CapPkts, cfg.HorizonNs, nowNs), nil
 	}
-	return nil, fmt.Errorf("pifo: unknown backend %q (want %s)", cfg.Backend, BackendList())
+	return newBankQueue(cfg), nil
 }
