@@ -37,9 +37,10 @@ test:
 
 # Race detector on the surfaces that run under real goroutine
 # concurrency: the scheduling function, the NIC model, the concurrent
-# flow cache, the tracer, and the facade.
+# flow cache, the tracer, the pifo family's label-plane scheduler, and
+# the facade.
 race:
-	$(GO) test -race ./internal/core/ ./internal/nic/ ./internal/classifier/ ./internal/telemetry/ .
+	$(GO) test -race ./internal/core/ ./internal/nic/ ./internal/classifier/ ./internal/telemetry/ ./internal/pifo/ .
 
 # Chaos soak: randomized fault plans (fixed seed matrix) through the full
 # FlowValve stack under -race, asserting conformance/recovery/liveness.
