@@ -14,7 +14,9 @@ all: build vet test
 # DESIGN.md §11 — over both tag sets, so the fvassert-only file pair
 # is linted too. Zero unsuppressed diagnostics is the contract;
 # suppressions are //fv: annotations with mandatory justifications.
+# Every tracked Go file outside analyzer fixtures must be gofmt-clean.
 lint:
+	test -z "$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"
 	$(GO) vet ./...
 	$(GO) run ./cmd/fvlint ./...
 	$(GO) run ./cmd/fvlint -tags fvassert ./...
@@ -37,10 +39,10 @@ test:
 
 # Race detector on the surfaces that run under real goroutine
 # concurrency: the scheduling function, the NIC model, the concurrent
-# flow cache, the tracer, the pifo family's label-plane scheduler, and
-# the facade.
+# flow cache, the tracer, the pifo family's label-plane scheduler, the
+# discrete-event engine, and the facade.
 race:
-	$(GO) test -race ./internal/core/ ./internal/nic/ ./internal/classifier/ ./internal/telemetry/ ./internal/pifo/ .
+	$(GO) test -race ./internal/core/ ./internal/nic/ ./internal/classifier/ ./internal/telemetry/ ./internal/pifo/ ./internal/sim/ .
 
 # Chaos soak: randomized fault plans (fixed seed matrix) through the full
 # FlowValve stack under -race, asserting conformance/recovery/liveness.

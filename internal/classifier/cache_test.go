@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"flowvalve/internal/packet"
 	"flowvalve/internal/sched/tree"
@@ -312,12 +313,17 @@ func TestClassifyHitNoAllocs(t *testing.T) {
 // collapse against single-threaded throughput (a mutex on the hit path
 // would make GOMAXPROCS workers slower in aggregate than one). The bar
 // is deliberately conservative — ≥0.9× serial — so the guard catches a
-// serializing regression without flaking on noisy CI runners.
+// serializing regression without flaking on noisy CI runners. Serial and
+// parallel rounds alternate in this process and the best round of each
+// is compared, so a busy neighbour (another package's test binary on
+// the other CPU) slows both sides alike instead of just the parallel
+// one.
 func TestClassifyHitParallelScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmarks under -short")
 	}
-	if runtime.GOMAXPROCS(0) < 2 {
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
 		t.Skip("needs ≥2 procs to measure scaling")
 	}
 	tr := testTree(t)
@@ -326,29 +332,40 @@ func TestClassifyHitParallelScales(t *testing.T) {
 	for f := 0; f < hot; f++ {
 		c.Lookup(pkt(0, packet.FlowID(f)))
 	}
-	serial := testing.Benchmark(func(b *testing.B) {
+	// Each round performs the same number of lookups; a parallel round
+	// splits them across GOMAXPROCS workers.
+	const lookups = 1 << 22
+	work := func(from, step int) {
 		p := pkt(0, 0)
-		for i := 0; i < b.N; i++ {
+		for i := from; i < lookups; i += step {
 			p.Flow = packet.FlowID(i % hot)
 			c.Lookup(p)
 		}
-	})
-	parallel := testing.Benchmark(func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			p := pkt(0, 0)
-			f := 0
-			for pb.Next() {
-				f++
-				p.Flow = packet.FlowID(f % hot)
-				c.Lookup(p)
+	}
+	rate := func(run func()) float64 {
+		start := time.Now()
+		run()
+		return lookups / time.Since(start).Seconds()
+	}
+	const rounds = 4
+	var serialOps, parOps float64
+	for r := 0; r < rounds; r++ {
+		serialOps = max(serialOps, rate(func() { work(0, 1) }))
+		parOps = max(parOps, rate(func() {
+			var wg sync.WaitGroup
+			for w := 0; w < procs; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					work(w, procs)
+				}(w)
 			}
-		})
-	})
-	serialOps := float64(serial.N) / serial.T.Seconds()
-	parOps := float64(parallel.N) / parallel.T.Seconds()
+			wg.Wait()
+		}))
+	}
 	if parOps < 0.9*serialOps {
-		t.Fatalf("parallel hit throughput %.0f ops/s collapsed below serial %.0f ops/s — hit path serializing?",
-			parOps, serialOps)
+		t.Fatalf("best parallel hit throughput %.0f ops/s collapsed below best serial %.0f ops/s over %d alternating rounds — hit path serializing?",
+			parOps, serialOps, rounds)
 	}
 }
 

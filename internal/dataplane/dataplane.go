@@ -110,6 +110,11 @@ type Scheduler interface {
 
 // Callbacks connects a Qdisc to the rest of the simulation. Either field
 // may be nil.
+//
+// Packet lifetime: OnDeliver or OnDrop is the packet's last use inside
+// the qdisc — nothing in the backend touches it afterwards — so the
+// harness that owns the packet's packet.Alloc frees it at the end of the
+// callback. A callback that re-injects the packet instead keeps it alive.
 type Callbacks struct {
 	// OnDeliver fires when a packet finishes transmitting on the wire;
 	// p.EgressAt is set.

@@ -163,14 +163,9 @@ func FlowCacheThroughput(cached bool) (float64, error) {
 	}
 	const durationNs = int64(10e6)
 	warm := durationNs
-	var delivered uint64
-	dev, err := nic.New(eng, cfg, cls, sched, nic.Callbacks{
-		OnDeliver: func(p *packet.Packet) {
-			if p.EgressAt >= warm {
-				delivered++
-			}
-		},
-	})
+	counter := &DeliveredCounter{WarmNs: warm}
+	alloc := &packet.Alloc{}
+	dev, err := nic.New(eng, cfg, cls, sched, nicCallbacks(recycling(alloc, counter.Callbacks())))
 	if err != nil {
 		return 0, err
 	}
@@ -178,12 +173,11 @@ func FlowCacheThroughput(cached bool) (float64, error) {
 	ecfg := dev.Config()
 	procPps := float64(ecfg.Cores) * ecfg.CoreFreqHz / float64(ecfg.Costs.PerPacket(2))
 	offeredBps := 1.3 * procPps * 64 * 8
-	alloc := &packet.Alloc{}
 	if err := saturate4(eng, alloc, 64, offeredBps, warm+durationNs, dev.Inject); err != nil {
 		return 0, err
 	}
 	eng.RunUntil(warm + durationNs)
-	return float64(delivered) / (float64(durationNs) / 1e9) / 1e6, nil
+	return counter.Pps(durationNs) / 1e6, nil
 }
 
 // ExpiryRecovery measures how fast a residual-priority class recovers
@@ -257,25 +251,19 @@ func ThreadSweepPoint(threads int, durationNs int64) (float64, error) {
 		return 0, err
 	}
 	warm := durationNs
-	var delivered uint64
+	counter := &DeliveredCounter{WarmNs: warm}
+	alloc := &packet.Alloc{}
 	dev, err := nic.New(eng, nic.Config{WireRateBps: 40e9, WirePorts: 4, ThreadsPerME: threads},
-		cls, sched, nic.Callbacks{
-			OnDeliver: func(p *packet.Packet) {
-				if p.EgressAt >= warm {
-					delivered++
-				}
-			},
-		})
+		cls, sched, nicCallbacks(recycling(alloc, counter.Callbacks())))
 	if err != nil {
 		return 0, err
 	}
 	cfg := dev.Config()
 	procPps := float64(cfg.Cores) * cfg.CoreFreqHz / float64(cfg.Costs.PerPacket(2))
 	offeredBps := 1.3 * procPps * 64 * 8
-	alloc := &packet.Alloc{}
 	if err := saturate4(eng, alloc, 64, offeredBps, warm+durationNs, dev.Inject); err != nil {
 		return 0, err
 	}
 	eng.RunUntil(warm + durationNs)
-	return float64(delivered) / (float64(durationNs) / 1e9) / 1e6, nil
+	return counter.Pps(durationNs) / 1e6, nil
 }

@@ -196,7 +196,8 @@ func runAccuracyBackend(sc *AccuracyScenario, backend string) (*AccuracyRow, err
 			digest.Write(buf[:])
 		},
 	}
-	q, err := pifo.NewQdisc(eng, cfg, pol, dataplane.Callbacks{})
+	alloc := &packet.Alloc{}
+	q, err := pifo.NewQdisc(eng, cfg, pol, recycling(alloc, dataplane.Callbacks{}))
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +205,6 @@ func runAccuracyBackend(sc *AccuracyScenario, backend string) (*AccuracyRow, err
 		q.AttachTelemetry(sc.Telemetry)
 	}
 
-	alloc := &packet.Alloc{}
 	for a := 0; a < sc.Apps; a++ {
 		// Each app peaks at 0.65× the link with 50% duty: the aggregate
 		// offered load is ~1.3× capacity for Apps=4, forcing the

@@ -79,9 +79,9 @@ func RunFlowCacheChurn(sc ChurnScenario) (*ChurnResult, error) {
 		return nil, err
 	}
 	counter := &DeliveredCounter{}
-	cb := counter.Callbacks()
+	alloc := &packet.Alloc{}
 	dev, err := nic.New(eng, nic.Config{WireRateBps: 40e9, WirePorts: 4, BatchSize: sc.Batch},
-		cls, sched, nic.Callbacks{OnDeliver: cb.OnDeliver})
+		cls, sched, nicCallbacks(recycling(alloc, counter.Callbacks())))
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,6 @@ func RunFlowCacheChurn(sc ChurnScenario) (*ChurnResult, error) {
 	// every app sprays its quarter of the population round-robin, so the
 	// working set sweeps the whole population once per rotation.
 	offeredBps := 0.5 * 40e9
-	alloc := &packet.Alloc{}
 	perApp := (sc.Flows + 3) / 4
 	for app := 0; app < 4; app++ {
 		flows := make([]packet.FlowID, perApp)

@@ -111,9 +111,9 @@ func fig13FlowValveBatched(size int, durationNs int64, batch int) (float64, erro
 
 	warm := durationNs
 	counter := &DeliveredCounter{WarmNs: warm}
-	cb := counter.Callbacks()
+	alloc := &packet.Alloc{}
 	dev, err := nic.New(eng, nic.Config{WireRateBps: 40e9, WirePorts: 4, BatchSize: batch},
-		cls, sched, nic.Callbacks{OnDeliver: cb.OnDeliver})
+		cls, sched, nicCallbacks(recycling(alloc, counter.Callbacks())))
 	if err != nil {
 		return 0, err
 	}
@@ -125,7 +125,6 @@ func fig13FlowValveBatched(size int, durationNs int64, batch int) (float64, erro
 	offeredPps := 1.3 * min(linePps(size), procPps)
 	offeredBps := offeredPps * float64(size) * 8
 
-	alloc := &packet.Alloc{}
 	if err := saturate4(eng, alloc, size, offeredBps, warm+durationNs, q.Enqueue); err != nil {
 		return 0, err
 	}
@@ -167,9 +166,10 @@ func fig13DPDK(size, cores int, durationNs int64) (float64, error) {
 	}.Defaults()
 	warm := durationNs
 	counter := &DeliveredCounter{WarmNs: warm}
+	alloc := &packet.Alloc{}
 	sched, err := dpdkqos.New(eng, cfg,
 		func(p *packet.Packet) int { return int(p.App) },
-		counter.Callbacks())
+		recycling(alloc, counter.Callbacks()))
 	if err != nil {
 		return 0, err
 	}
@@ -180,7 +180,6 @@ func fig13DPDK(size, cores int, durationNs int64) (float64, error) {
 	offeredPps := 1.3 * min(linePps(size), procPps)
 	offeredBps := offeredPps * float64(size) * 8
 
-	alloc := &packet.Alloc{}
 	if err := saturate4(eng, alloc, size, offeredBps, warm+durationNs, q.Enqueue); err != nil {
 		return 0, err
 	}

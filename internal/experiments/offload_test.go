@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"flowvalve/internal/faults"
+	"flowvalve/internal/fvassert"
 	"flowvalve/internal/nic"
 )
 
@@ -169,5 +171,33 @@ func TestOffloadSweepFedReducesShed(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatOffloadSweep missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// The DES packet path allocates nothing per packet: events are typed
+// records and packets are recycled through the row's Alloc, so a 2 ms
+// cell of the offload sweep — elephants, TCP, mice churn, the slow-path
+// detour — costs only its setup, its packet working set (allocated in
+// slabs) and the flow-cache entries of new flows. Before typed events
+// and recycling it made several allocations per packet.
+func TestOffloadRowAllocsPerPacket(t *testing.T) {
+	if fvassert.Enabled {
+		t.Skip("fvassert quarantines freed packets, which allocates by design")
+	}
+	sc := OffloadScenario{DurationNs: 2e6, ChurnFlowsPerSec: 40_000, TableCap: 64}
+	sc.sweepDefaults()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	row, err := runOffloadRow(&sc, "adaptive-fed", fedAdaptive())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := row.Delivered + row.Dropped
+	perPkt := float64(after.Mallocs-before.Mallocs) / float64(pkts)
+	t.Logf("%d allocations over %d packets: %.4f per packet", after.Mallocs-before.Mallocs, pkts, perPkt)
+	if perPkt > 0.05 {
+		t.Fatalf("runOffloadRow made %.4f allocations per simulated packet, want <= 0.05", perPkt)
 	}
 }

@@ -93,15 +93,10 @@ func maxRateOn(cfg nic.Config, size int, durationNs int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var delivered uint64
 	warm := durationNs
-	dev, err := nic.New(eng, cfg, cls, sched, nic.Callbacks{
-		OnDeliver: func(p *packet.Packet) {
-			if p.EgressAt >= warm {
-				delivered++
-			}
-		},
-	})
+	counter := &DeliveredCounter{WarmNs: warm}
+	alloc := &packet.Alloc{}
+	dev, err := nic.New(eng, cfg, cls, sched, nicCallbacks(recycling(alloc, counter.Callbacks())))
 	if err != nil {
 		return 0, err
 	}
@@ -109,12 +104,11 @@ func maxRateOn(cfg nic.Config, size int, durationNs int64) (float64, error) {
 	procPps := float64(ecfg.Cores) * ecfg.CoreFreqHz / float64(ecfg.Costs.PerPacket(2))
 	linePps := ecfg.WireRateBps / float64((size+packet.WireOverhead)*8)
 	offeredBps := 1.3 * min(linePps, procPps) * float64(size) * 8
-	alloc := &packet.Alloc{}
 	if err := saturate4(eng, alloc, size, offeredBps, warm+durationNs, dev.Inject); err != nil {
 		return 0, err
 	}
 	eng.RunUntil(warm + durationNs)
-	return float64(delivered) / (float64(durationNs) / 1e9), nil
+	return counter.Pps(durationNs), nil
 }
 
 // FormatScale100G renders the projection table.

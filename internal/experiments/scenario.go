@@ -195,7 +195,8 @@ func runQdiscTCP(sc TCPScenario, build qdiscBuilder) (*Result, error) {
 		res.Latency = stats.NewLatencyRecorder()
 	}
 	flows := tcp.NewSet()
-	cb := dataplane.Callbacks{
+	alloc := &packet.Alloc{}
+	cb := recycling(alloc, dataplane.Callbacks{
 		OnDeliver: func(p *packet.Packet) {
 			res.Meter.Add(AppSeries(int(p.App)), p.Size, p.EgressAt)
 			if res.Latency != nil {
@@ -203,8 +204,8 @@ func runQdiscTCP(sc TCPScenario, build qdiscBuilder) (*Result, error) {
 			}
 			flows.OnDeliver(p)
 		},
-		OnDrop: func(p *packet.Packet) { flows.OnDrop(p) },
-	}
+		OnDrop: flows.OnDrop,
+	})
 
 	if sc.Faults != nil {
 		inj, err := faults.NewInjector(eng, *sc.Faults)
@@ -242,7 +243,7 @@ func runQdiscTCP(sc TCPScenario, build qdiscBuilder) (*Result, error) {
 		// scenario fault-free; res.Faults stays nil to signal it.
 	}
 
-	if err := buildFlows(eng, sc, flows, q.Enqueue); err != nil {
+	if err := buildFlows(eng, sc, flows, alloc, q.Enqueue); err != nil {
 		return nil, err
 	}
 	if res.Sched != nil && sc.SampleRatesNs > 0 {
@@ -317,10 +318,7 @@ func buildFlowValve(eng *sim.Engine, sc *TCPScenario, cb dataplane.Callbacks, re
 				ssched.AttachTelemetry(sc.Telemetry, sc.Tracer)
 			}
 			res.ShardSched = ssched
-			dev, err := nic.New(eng, sc.NIC, cls, ssched, nic.Callbacks{
-				OnDeliver: cb.OnDeliver,
-				OnDrop:    func(p *packet.Packet, _ nic.DropReason) { cb.OnDrop(p) },
-			})
+			dev, err := nic.New(eng, sc.NIC, cls, ssched, nicCallbacks(cb))
 			if err != nil {
 				return nil, err
 			}
@@ -362,10 +360,7 @@ func buildFlowValve(eng *sim.Engine, sc *TCPScenario, cb dataplane.Callbacks, re
 			eng.After(interval, poll)
 		}
 	}
-	dev, err := nic.New(eng, sc.NIC, cls, schedOrNil(sched), nic.Callbacks{
-		OnDeliver: cb.OnDeliver,
-		OnDrop:    func(p *packet.Packet, _ nic.DropReason) { cb.OnDrop(p) },
-	})
+	dev, err := nic.New(eng, sc.NIC, cls, schedOrNil(sched), nicCallbacks(cb))
 	if err != nil {
 		return nil, err
 	}
@@ -401,9 +396,8 @@ func runForwardOnlyTCP(sc TCPScenario) (*Result, error) {
 }
 
 // buildFlows creates the per-app TCP connections and their start/stop
-// schedule, sending packets via inject.
-func buildFlows(eng *sim.Engine, sc TCPScenario, flows *tcp.Set, inject func(*packet.Packet)) error {
-	alloc := &packet.Alloc{}
+// schedule, drawing packets from alloc and sending them via inject.
+func buildFlows(eng *sim.Engine, sc TCPScenario, flows *tcp.Set, alloc *packet.Alloc, inject func(*packet.Packet)) error {
 	nextFlow := packet.FlowID(0)
 	for _, app := range sc.Apps {
 		if app.Conns <= 0 {

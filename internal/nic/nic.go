@@ -20,6 +20,7 @@ import (
 	"flowvalve/internal/classifier"
 	"flowvalve/internal/core"
 	"flowvalve/internal/dataplane"
+	"flowvalve/internal/fvassert"
 	"flowvalve/internal/packet"
 	"flowvalve/internal/pktq"
 	"flowvalve/internal/sched/tree"
@@ -73,7 +74,9 @@ func (r DropReason) String() string {
 }
 
 // Callbacks connects the NIC to the rest of the simulation. Either field
-// may be nil.
+// may be nil. A packet's OnDeliver or OnDrop is its last use inside the
+// NIC, so the callback may hand it back to its packet.Alloc (see
+// dataplane.Callbacks).
 type Callbacks struct {
 	// OnDeliver fires when a packet finishes transmitting on the wire;
 	// p.EgressAt is set.
@@ -255,9 +258,12 @@ type NIC struct {
 
 	clusters    []*cluster
 	nextCluster int
-	rings       map[packet.AppID]*pktq.FIFO
-	ringOrder   []packet.AppID
-	nextRing    int
+	// rings maps an app to its Rx ring on first sight; ringOrder holds
+	// the same rings in round-robin order, so the service loop's probe
+	// never touches the map.
+	rings     map[packet.AppID]*pktq.FIFO
+	ringOrder []*pktq.FIFO
+	nextRing  int
 
 	// Buffer manager state: freeBuffers are immediately allocatable;
 	// recycleBin holds buffers freed since the manager core's last
@@ -269,10 +275,13 @@ type NIC struct {
 	// Reorder system: run-to-completion cores finish out of order (a
 	// flow-cache miss makes the first packet of a flow slower than its
 	// followers), so completions are released to the traffic manager in
-	// service-begin sequence, as on the NP.
-	seqIssue uint64
-	seqNext  uint64
-	pending  map[uint64]completion
+	// service-begin sequence, as on the NP. Every issued sequence in
+	// [seqNext, seqIssue) holds a record in the inflight ring at slot
+	// seq&inflightMask; the ring doubles when a burst would overrun it.
+	seqIssue     uint64
+	seqNext      uint64
+	inflight     []inflight
+	inflightMask uint64
 
 	ports []*wirePort
 
@@ -368,23 +377,68 @@ func ownerTable(sh dataplane.Sharder, t *tree.Tree) []int32 {
 // scheduler returns the active scheduling function (nil = pass-through).
 func (n *NIC) scheduler() dataplane.Scheduler { return n.sched.Load().s }
 
-// completion is one finished worker routine waiting in the reorder
-// system. A nil packet marks a released (dropped) sequence slot.
-type completion struct {
-	p *packet.Packet
+// inflight is one packet's service routine in the reorder system, from
+// burst issue until its sequence is released to the traffic manager.
+// The burst's outcome (fwd, reason, slowLeaf) is fixed at issue; done
+// marks the routine completed, with p nil when the slot was released
+// without a packet (dropped, or detoured through the slow path).
+type inflight struct {
+	p        *packet.Packet
+	slowLeaf *tree.Class
+	reason   DropReason
+	fwd      bool
+	done     bool
+	// burst is set on a burst's first record only: the number of
+	// consecutive sequences the burst's completion event finishes.
+	burst int
 }
 
 // cluster is one micro-engine island: a group of worker contexts fed by
 // the load-balancing module.
 type cluster struct {
+	id   int // index in NIC.clusters (the release event's argument)
 	idle int
 }
 
 type wirePort struct {
+	id     int // index in NIC.ports (the tx event's argument)
 	queue  *pktq.FIFO
 	freeAt int64 // wire busy until this instant
 	active bool  // a drain event is pending
+	// cur is the packet on the wire, finishing at curDone; the port's tx
+	// event delivers it.
+	cur     *packet.Packet
+	curDone int64
 }
+
+// The NIC's DES events are typed (sim.Handler) conversions of the NIC
+// itself, so scheduling one stores a pointer and an index instead of
+// allocating a closure per packet.
+type (
+	// releaseEvent frees a worker context; arg is the cluster index.
+	releaseEvent NIC
+	// completionEvent finishes one service burst; arg is the burst's
+	// first sequence.
+	completionEvent NIC
+	// txEvent finishes a wire transmission; arg is the port index.
+	txEvent NIC
+	// recycleEvent is the buffer manager's recycle pass.
+	recycleEvent NIC
+)
+
+func (e *releaseEvent) Fire(cl uint64) {
+	n := (*NIC)(e)
+	n.releaseContext(n.clusters[cl])
+}
+
+func (e *completionEvent) Fire(first uint64) { (*NIC)(e).completeBurst(first) }
+
+func (e *txEvent) Fire(port uint64) {
+	n := (*NIC)(e)
+	n.txDone(n.ports[port])
+}
+
+func (e *recycleEvent) Fire(uint64) { (*NIC)(e).recyclePass() }
 
 // New assembles a NIC bound to the simulation engine. cls is required;
 // sched is any dataplane scheduling function (the FlowValve core in
@@ -408,7 +462,6 @@ func New(eng *sim.Engine, cfg Config, cls *classifier.Classifier, sched dataplan
 		cls:         cls,
 		cb:          cb,
 		rings:       make(map[packet.AppID]*pktq.FIFO),
-		pending:     make(map[uint64]completion),
 		freeBuffers: cfg.BufferPool,
 	}
 	n.sched.Store(n.newSchedRef(sched))
@@ -421,16 +474,24 @@ func New(eng *sim.Engine, cfg Config, cls *classifier.Classifier, sched dataplan
 	per := cfg.Cores / cfg.Clusters
 	extra := cfg.Cores % cfg.Clusters
 	for i := range n.clusters {
-		n.clusters[i] = &cluster{idle: per}
+		n.clusters[i] = &cluster{id: i, idle: per}
 		if i < extra {
 			n.clusters[i].idle++
 		}
 	}
 	n.ports = make([]*wirePort, cfg.WirePorts)
 	for i := range n.ports {
-		n.ports[i] = &wirePort{queue: pktq.New(0, cfg.TMQueueBytes)}
+		n.ports[i] = &wirePort{id: i, queue: pktq.New(0, cfg.TMQueueBytes)}
 	}
 	b := cfg.BatchSize
+	// The reorder ring starts with room for one burst, rounded up to a
+	// power of two, and doubles under backlog.
+	ring := 1
+	for ring < b {
+		ring *= 2
+	}
+	n.inflight = make([]inflight, ring)
+	n.inflightMask = uint64(ring - 1)
 	n.batchBuf = make([]*packet.Packet, 0, b)
 	n.batchLbls = make([]*tree.Label, b)
 	n.batchHits = make([]bool, b)
@@ -477,7 +538,7 @@ func (n *NIC) freeBuffer() {
 	n.recycleBin++
 	if !n.recycleArmed {
 		n.recycleArmed = true
-		n.eng.After(n.cfg.BufferRecycleNs, n.recyclePass)
+		n.eng.Schedule(n.eng.Now()+n.cfg.BufferRecycleNs, (*recycleEvent)(n), 0)
 	}
 }
 
@@ -514,6 +575,9 @@ func (n *NIC) QueuedBytes() int64 {
 // NIC at the current simulation time. The load balancer assigns it to a
 // cluster with a free context; otherwise it waits in its VF's Rx ring.
 func (n *NIC) Inject(p *packet.Packet) {
+	if fvassert.Enabled && packet.Poisoned(p) {
+		fvassert.Failf("nic: Inject of freed packet %d", p.ID)
+	}
 	n.stats.Injected++
 	if n.tel != nil {
 		n.tel.injected.Add(1)
@@ -598,7 +662,7 @@ func (n *NIC) ringFor(app packet.AppID) *pktq.FIFO {
 	if !ok {
 		ring = pktq.New(n.cfg.RxRingPkts, 0)
 		n.rings[app] = ring
-		n.ringOrder = append(n.ringOrder, app)
+		n.ringOrder = append(n.ringOrder, ring)
 	}
 	return ring
 }
@@ -753,12 +817,7 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 	if n.tel != nil {
 		n.tel.busyCycles.Add(cycles)
 	}
-	for i, c := range n.clusters {
-		if c == cl {
-			n.stats.ClusterBusyCycles[i] += float64(cycles)
-			break
-		}
-	}
+	n.stats.ClusterBusyCycles[cl.id] += float64(cycles)
 
 	// One memory-stall window per burst: latency includes it, while ME
 	// occupancy hides it behind the other thread contexts (§III-B), the
@@ -773,16 +832,58 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 	}
 	occupancyNs := int64(float64(occupancy) / n.cfg.CoreFreqHz * 1e9)
 	latencyNs := int64(float64(total) / n.cfg.CoreFreqHz * 1e9)
-	//fv:boxing-ok DES completion bookkeeping: the event closures model NP latency, they are simulator overhead outside the modelled cycle budget
-	n.eng.After(occupancyNs, func() { n.releaseContext(cl) })
+	now := n.eng.Now()
+	n.eng.Schedule(now+occupancyNs, (*releaseEvent)(n), uint64(cl.id))
+	// One completion event finishes the whole burst, in sequence order:
+	// the order k per-packet events at this instant would fire in, since
+	// they would carry consecutive engine sequence numbers with nothing
+	// scheduled between them.
+	first := n.seqIssue
 	for i := 0; i < k; i++ {
-		p, fwd, reason := batch[i], n.batchFwd[i], n.batchReason[i]
-		slowLeaf := n.batchSlowLeaf[i]
-		seq := n.seqIssue
-		n.seqIssue++
-		//fv:boxing-ok DES completion bookkeeping: the event closures model NP latency, they are simulator overhead outside the modelled cycle budget
-		n.eng.After(latencyNs, func() { n.completeService(p, seq, fwd, reason, slowLeaf) })
+		*n.issue() = inflight{
+			p:        batch[i],
+			slowLeaf: n.batchSlowLeaf[i],
+			reason:   n.batchReason[i],
+			fwd:      n.batchFwd[i],
+		}
 	}
+	n.inflight[first&n.inflightMask].burst = k
+	n.eng.Schedule(now+latencyNs, (*completionEvent)(n), first)
+}
+
+// issue claims the next service sequence's in-flight record, doubling
+// the ring first when every slot is taken.
+func (n *NIC) issue() *inflight {
+	if n.seqIssue-n.seqNext == uint64(len(n.inflight)) {
+		ring := make([]inflight, 2*len(n.inflight))
+		mask := uint64(len(ring) - 1)
+		for seq := n.seqNext; seq != n.seqIssue; seq++ {
+			ring[seq&mask] = n.inflight[seq&n.inflightMask]
+		}
+		n.inflight, n.inflightMask = ring, mask
+	}
+	r := &n.inflight[n.seqIssue&n.inflightMask]
+	n.seqIssue++
+	return r
+}
+
+// completeBurst finishes the burst whose first sequence is first, in
+// sequence order. The ring is re-read for every packet: a completion can
+// re-enter Inject synchronously (OnDrop → transport → Inject), and the
+// burst that starts there may grow the ring mid-loop.
+func (n *NIC) completeBurst(first uint64) {
+	k := n.inflight[first&n.inflightMask].burst
+	for seq := first; seq < first+uint64(k); seq++ {
+		r := &n.inflight[seq&n.inflightMask]
+		n.completeService(seq, r.p, r.fwd, r.reason, r.slowLeaf)
+	}
+}
+
+// settle marks seq's routine completed, leaving p (nil for a released
+// slot) for releaseInOrder.
+func (n *NIC) settle(seq uint64, p *packet.Packet) {
+	r := &n.inflight[seq&n.inflightMask]
+	r.p, r.done = p, true
 }
 
 // completeService finishes one packet's run-to-completion routine and
@@ -792,9 +893,9 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 // transmit path when the host qdisc serves it, so fast-path completions
 // behind it are not head-of-line blocked by the detour — or is shed
 // (DropSlowPath) when the slow path's admission bound refuses it.
-func (n *NIC) completeService(p *packet.Packet, seq uint64, forward bool, reason DropReason, slowLeaf *tree.Class) {
+func (n *NIC) completeService(seq uint64, p *packet.Packet, forward bool, reason DropReason, slowLeaf *tree.Class) {
 	if forward && slowLeaf != nil && n.off != nil {
-		n.pending[seq] = completion{} // slot released; the packet detours
+		n.settle(seq, nil) // slot released; the packet detours
 		if !n.off.sp.admit(p, slowLeaf) {
 			n.stats.SlowPathDrops++
 			if n.tel != nil {
@@ -807,7 +908,7 @@ func (n *NIC) completeService(p *packet.Packet, seq uint64, forward bool, reason
 		return
 	}
 	if forward {
-		n.pending[seq] = completion{p: p}
+		n.settle(seq, p)
 	} else {
 		switch reason {
 		case DropSched:
@@ -833,7 +934,7 @@ func (n *NIC) completeService(p *packet.Packet, seq uint64, forward bool, reason
 		}
 		n.drop(p, reason)
 		n.freeBuffer()
-		n.pending[seq] = completion{} // release the sequence slot
+		n.settle(seq, nil) // release the sequence slot
 	}
 	n.releaseInOrder()
 }
@@ -841,15 +942,16 @@ func (n *NIC) completeService(p *packet.Packet, seq uint64, forward bool, reason
 // releaseInOrder feeds contiguous completed sequences to the traffic
 // manager, restoring service-begin order.
 func (n *NIC) releaseInOrder() {
-	for {
-		done, ok := n.pending[n.seqNext]
-		if !ok {
+	for n.seqNext != n.seqIssue {
+		r := &n.inflight[n.seqNext&n.inflightMask]
+		if !r.done {
 			return
 		}
-		delete(n.pending, n.seqNext)
+		p := r.p
+		*r = inflight{}
 		n.seqNext++
-		if done.p != nil {
-			n.txEnqueue(done.p)
+		if p != nil {
+			n.txEnqueue(p)
 		}
 	}
 }
@@ -857,7 +959,7 @@ func (n *NIC) releaseInOrder() {
 func (n *NIC) pullNext() *packet.Packet {
 	for i := 0; i < len(n.ringOrder); i++ {
 		idx := (n.nextRing + i) % len(n.ringOrder)
-		if p := n.rings[n.ringOrder[idx]].Pop(); p != nil {
+		if p := n.ringOrder[idx].Pop(); p != nil {
 			n.nextRing = (idx + 1) % len(n.ringOrder)
 			if n.tel != nil {
 				n.tel.ringPkts.Add(-1)
@@ -872,6 +974,9 @@ func (n *NIC) pullNext() *packet.Packet {
 // queue. Port selection is by flow so per-flow order is preserved (the
 // NP reorder system guarantees the same property).
 func (n *NIC) txEnqueue(p *packet.Packet) {
+	if fvassert.Enabled && packet.Poisoned(p) {
+		fvassert.Failf("nic: txEnqueue of freed packet %d", p.ID)
+	}
 	port := n.ports[int(p.Flow)%len(n.ports)]
 	if !port.queue.TryPush(p) {
 		n.stats.TMDrops++
@@ -911,20 +1016,29 @@ func (n *NIC) drainPort(port *wirePort) {
 		port.freeAt = now
 	}
 	port.freeAt += txNs
-	done := port.freeAt
-	n.eng.At(done, func() {
-		p.EgressAt = done + n.cfg.FixedLatencyNs
-		n.stats.Delivered++
-		if n.tel != nil {
-			n.tel.delivered.Add(1)
-			n.tel.deliveredBytes.Add(int64(p.Size))
-		}
-		n.freeBuffer()
-		if n.cb.OnDeliver != nil {
-			n.cb.OnDeliver(p)
-		}
-		n.drainPort(port)
-	})
+	port.cur, port.curDone = p, port.freeAt
+	n.eng.Schedule(port.freeAt, (*txEvent)(n), uint64(port.id))
+}
+
+// txDone delivers the packet that just left port's wire and serializes
+// the next one.
+func (n *NIC) txDone(port *wirePort) {
+	p, done := port.cur, port.curDone
+	port.cur = nil
+	if fvassert.Enabled && packet.Poisoned(p) {
+		fvassert.Failf("nic: tx completion of freed packet %d", p.ID)
+	}
+	p.EgressAt = done + n.cfg.FixedLatencyNs
+	n.stats.Delivered++
+	if n.tel != nil {
+		n.tel.delivered.Add(1)
+		n.tel.deliveredBytes.Add(int64(p.Size))
+	}
+	n.freeBuffer()
+	if n.cb.OnDeliver != nil {
+		n.cb.OnDeliver(p)
+	}
+	n.drainPort(port)
 }
 
 func (n *NIC) drop(p *packet.Packet, reason DropReason) {
@@ -963,7 +1077,7 @@ func (n *NIC) QdiscStats() dataplane.Stats {
 // rings plus the traffic-manager port queues.
 func (n *NIC) Backlog() int {
 	total := 0
-	for _, r := range n.rings {
+	for _, r := range n.ringOrder {
 		total += r.Len()
 	}
 	for _, p := range n.ports {

@@ -393,3 +393,88 @@ func TestThreadContextsHideMemoryStalls(t *testing.T) {
 		t.Fatalf("1 context: %.2fMpps, want stall-bound ≈%.2fMpps", one/1e6, memBound/1e6)
 	}
 }
+
+// reinjectRun drives a one-context NIC whose classifier knows only app
+// 0: every app-1 packet is unclassified, and its OnDrop synchronously
+// re-injects it as app 0 on a fresh flow, from inside the burst's
+// completion event. The context is stalled while the first wave queues,
+// so at batch 8 that wave is one burst of 8 that fills the initial
+// 8-slot reorder ring, and its first packet's re-injection must grow the
+// ring mid-burst. It returns each flow's delivered packet IDs in
+// delivery order and how many re-injections grew the ring.
+func reinjectRun(t *testing.T, batch int) (map[packet.FlowID][]uint64, int) {
+	t.Helper()
+	tr := tree.NewBuilder().
+		Root("root", 40e9).
+		Add(tree.ClassSpec{Name: "leaf", Parent: "root"}).
+		MustBuild()
+	eng := sim.New()
+	cls, err := classifier.New(tr, []classifier.Rule{
+		{App: 0, Flow: classifier.AnyFlow, Class: "leaf"},
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := make(map[packet.FlowID][]uint64)
+	grewInside := 0
+	var n *NIC
+	n, err = New(eng, Config{Cores: 1, Clusters: 1, WirePorts: 1, BatchSize: batch}, cls, nil, Callbacks{
+		OnDeliver: func(p *packet.Packet) { delivered[p.Flow] = append(delivered[p.Flow], p.ID) },
+		OnDrop: func(p *packet.Packet, reason DropReason) {
+			if reason != DropUnclassified {
+				t.Fatalf("packet %d dropped (%v)", p.ID, reason)
+			}
+			p.App, p.Flow = 0, p.Flow+1000
+			p.Tuple = packet.TupleFor(p.App, p.Flow)
+			before := len(n.inflight)
+			n.Inject(p)
+			if len(n.inflight) > before {
+				grewInside++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a packet.Alloc
+	wave := func(pkts int) {
+		for i := 0; i < pkts; i++ {
+			n.Inject(a.New(packet.FlowID(i%4), packet.AppID(1-i%2), 64, eng.Now()))
+		}
+	}
+	n.StallCores(1, 1000)
+	wave(8)
+	eng.At(200_000, func() { wave(64) })
+	eng.Run()
+	if st := n.Stats(); st.Delivered != 72 {
+		t.Fatalf("batch %d: delivered %d of 72 (%+v)", batch, st.Delivered, st)
+	}
+	return delivered, grewInside
+}
+
+// A completion event that re-enters Inject (OnDrop → Inject) can start a
+// burst that doubles the reorder ring mid-loop. The loop must finish the
+// rest of its burst from the grown ring: every packet is delivered
+// exactly once, and each flow's delivery order matches the same run
+// serviced one packet at a time.
+func TestReorderRingGrowsInsideCompletion(t *testing.T) {
+	got, grew := reinjectRun(t, 8)
+	if grew == 0 {
+		t.Fatal("no re-injection grew the in-flight ring; the test no longer covers mid-burst growth")
+	}
+	want, _ := reinjectRun(t, 1)
+	if len(got) != len(want) {
+		t.Fatalf("batch 8 delivered %d flows, batch 1 %d", len(got), len(want))
+	}
+	for flow, ids := range want {
+		g := got[flow]
+		if len(g) != len(ids) {
+			t.Fatalf("flow %d: batch 8 delivered %d packets, batch 1 %d", flow, len(g), len(ids))
+		}
+		for i := range ids {
+			if g[i] != ids[i] {
+				t.Fatalf("flow %d: batch 8 order %v, batch 1 order %v", flow, g, ids)
+			}
+		}
+	}
+}

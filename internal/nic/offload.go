@@ -128,7 +128,7 @@ func (n *NIC) AttachOffload(ctl *offload.Controller, cfg SlowPathConfig) error {
 	ctl.SetSlowPathSignals(sp.signals)
 
 	n.off = st
-	n.eng.After(ctl.TickNs(), n.offloadTick)
+	n.eng.Schedule(n.eng.Now()+ctl.TickNs(), (*offloadTickEvent)(n), 0)
 	return nil
 }
 
@@ -146,8 +146,13 @@ func (n *NIC) offloadTick() {
 			n.tel.busyCycles.Add(cycles)
 		}
 	}
-	n.eng.After(n.off.ctl.TickNs(), n.offloadTick)
+	n.eng.Schedule(n.eng.Now()+n.off.ctl.TickNs(), (*offloadTickEvent)(n), 0)
 }
+
+// offloadTickEvent is the control plane's periodic tick.
+type offloadTickEvent NIC
+
+func (e *offloadTickEvent) Fire(uint64) { (*NIC)(e).offloadTick() }
 
 // HostCores implements dataplane.HostAccountant: the mean host cores
 // burned by the slow path over the run (zero without an offload control
@@ -166,19 +171,19 @@ func (n *NIC) OffloadStats() dataplane.OffloadStats {
 	}
 	s := n.off.ctl.Stats()
 	return dataplane.OffloadStats{
-		Enabled:        true,
-		Offloaded:      s.Offloaded,
-		TableCap:       s.TableCap,
-		QueueDepth:     s.QueueDepth,
-		QueueCap:       s.QueueCap,
-		ThresholdBytes: s.ThresholdBytes,
-		SketchErrBytes: s.SketchErrBytes,
-		FastPkts:       s.FastPkts,
-		SlowPkts:       s.SlowPkts,
-		FastBytes:      s.FastBytes,
-		SlowBytes:      s.SlowBytes,
-		Installs:       s.Installs,
-		Demotions:      s.Demotions,
+		Enabled:          true,
+		Offloaded:        s.Offloaded,
+		TableCap:         s.TableCap,
+		QueueDepth:       s.QueueDepth,
+		QueueCap:         s.QueueCap,
+		ThresholdBytes:   s.ThresholdBytes,
+		SketchErrBytes:   s.SketchErrBytes,
+		FastPkts:         s.FastPkts,
+		SlowPkts:         s.SlowPkts,
+		FastBytes:        s.FastBytes,
+		SlowBytes:        s.SlowBytes,
+		Installs:         s.Installs,
+		Demotions:        s.Demotions,
 		QueueDrops:       s.QueueDrops,
 		StaleSkips:       s.StaleSkips,
 		TableFull:        s.TableFull,

@@ -8,6 +8,7 @@ import (
 	"flowvalve/internal/htb"
 	"flowvalve/internal/offload"
 	"flowvalve/internal/packet"
+	"flowvalve/internal/pktq"
 	"flowvalve/internal/prio"
 	"flowvalve/internal/sched/tree"
 	"flowvalve/internal/sim"
@@ -65,6 +66,11 @@ type slowPath struct {
 
 	backlogPkts  int
 	backlogBytes int64
+
+	// detour holds scheduled packets crossing back over PCIe. Every
+	// detour takes the same DetourNs from a non-decreasing now, so the
+	// return events fire in push order and each pops the head.
+	detour pktq.FIFO
 
 	admitted   uint64
 	shed       uint64 // admission-bound sheds (never enqueued)
@@ -274,7 +280,16 @@ func (sp *slowPath) onDeliver(p *packet.Packet) {
 	sp.backlogPkts--
 	sp.backlogBytes -= int64(p.WireBytes())
 	sp.reinjected++
-	sp.eng.After(sp.cfg.DetourNs, func() { sp.reinject(p) })
+	sp.detour.Push(p)
+	sp.eng.Schedule(sp.eng.Now()+sp.cfg.DetourNs, (*detourEvent)(sp), 0)
+}
+
+// detourEvent returns the oldest detoured packet to the NIC.
+type detourEvent slowPath
+
+func (e *detourEvent) Fire(uint64) {
+	sp := (*slowPath)(e)
+	sp.reinject(sp.detour.Pop())
 }
 
 // signals snapshots the slow path's congestion state for one control

@@ -10,7 +10,10 @@
 // passing the label alongside the packet through the pipeline stages.
 package packet
 
-import "flowvalve/internal/headers"
+import (
+	"flowvalve/internal/fvassert"
+	"flowvalve/internal/headers"
+)
 
 // Sizes of common Ethernet frames, in bytes, including the FCS — the
 // convention used by the paper's packet-size sweep (64B..1518B).
@@ -83,18 +86,62 @@ func (p *Packet) WireBytes() int {
 	return p.Size + WireOverhead*frames
 }
 
-// Alloc allocates packets with unique IDs. The zero value is ready to use.
-// Alloc is not safe for concurrent use; the DES is single-threaded and the
-// wall-clock benchmarks use one Alloc per goroutine.
+// Alloc allocates packets with unique IDs and recycles them. The zero
+// value is ready to use. Alloc is not safe for concurrent use; the DES is
+// single-threaded and the wall-clock benchmarks use one Alloc per
+// goroutine.
+//
+// Packet lifetime: a packet lives from New until the OnDeliver or OnDrop
+// callback of the qdisc it was handed to. That callback is its last use —
+// no component keeps a reference past it — so the harness that owns the
+// Alloc may return the packet with Free at the end of the callback, and
+// New hands the memory out again with a fresh ID. A harness that never
+// calls Free simply leaves its packets to the garbage collector.
 type Alloc struct {
 	next uint64
+	free []*Packet
+	// slab is the unused tail of the last chunk carved on a free-list
+	// miss: packets are allocated slabLen at a time, so a run's
+	// working set costs a handful of allocations, not one per packet.
+	slab []Packet
+
+	// quar is the fvassert builds' quarantine: freed packets stay
+	// poisoned here for quarantineLen further frees before they are
+	// reused, so a stale reference that touches one within that window
+	// is caught (Poisoned) instead of reading a recycled packet.
+	quar  []*Packet
+	qhead int
 }
 
-// New returns a fresh packet with the given identity fields, a unique ID,
-// a deterministic five-tuple, and SentAt stamped to now.
+// slabLen is how many packets one free-list miss allocates at once.
+const slabLen = 64
+
+// quarantineLen is how many frees a poisoned packet outlives before the
+// fvassert build recycles it.
+const quarantineLen = 4096
+
+// poisonSize marks a freed packet under fvassert: no live frame has a
+// negative size.
+const poisonSize = -0xdead
+
+// New returns a packet with the given identity fields, a unique ID, a
+// deterministic five-tuple, and SentAt stamped to now. It reuses a freed
+// packet when one is available and allocates only on a free-list miss,
+// slabLen packets at a time.
 func (a *Alloc) New(flow FlowID, app AppID, size int, now int64) *Packet {
 	a.next++
-	return &Packet{
+	var p *Packet
+	if n := len(a.free); n > 0 {
+		p = a.free[n-1]
+		a.free = a.free[:n-1]
+	} else {
+		if len(a.slab) == 0 {
+			a.slab = make([]Packet, slabLen)
+		}
+		p = &a.slab[0]
+		a.slab = a.slab[1:]
+	}
+	*p = Packet{
 		ID:     a.next,
 		Flow:   flow,
 		App:    app,
@@ -102,7 +149,32 @@ func (a *Alloc) New(flow FlowID, app AppID, size int, now int64) *Packet {
 		Tuple:  TupleFor(app, flow),
 		SentAt: now,
 	}
+	return p
 }
+
+// Free returns p to the allocator after its last use (see Alloc). Under
+// the fvassert build tag Free poisons p, fails on a double free, and
+// quarantines p before reuse.
+func (a *Alloc) Free(p *Packet) {
+	if fvassert.Enabled {
+		if Poisoned(p) {
+			fvassert.Failf("packet: double Free of packet %d", p.ID)
+		}
+		*p = Packet{ID: p.ID, Size: poisonSize}
+		if len(a.quar) < quarantineLen {
+			a.quar = append(a.quar, p)
+			return
+		}
+		p, a.quar[a.qhead] = a.quar[a.qhead], p
+		a.qhead = (a.qhead + 1) % quarantineLen
+	}
+	a.free = append(a.free, p)
+}
+
+// Poisoned reports whether p has been freed (fvassert builds only; it is
+// always false otherwise, since Free poisons nothing there). Components
+// check it at the points a packet enters them, behind fvassert.Enabled.
+func Poisoned(p *Packet) bool { return p.Size == poisonSize }
 
 // TupleFor derives the canonical five-tuple of a flow: each app is a /24
 // source subnet with its own service port (5201+app, iperf3-style

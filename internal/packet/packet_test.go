@@ -3,6 +3,8 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+
+	"flowvalve/internal/fvassert"
 )
 
 func TestAllocAssignsUniqueIDs(t *testing.T) {
@@ -67,5 +69,36 @@ func TestWireBytesProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A freed packet comes back from New with a fresh ID and every field
+// reset; in untagged builds it is the same memory, and the New/Free
+// cycle allocates nothing.
+func TestAllocRecyclesFreedPackets(t *testing.T) {
+	var a Alloc
+	p := a.New(7, 3, 1500, 42)
+	p.Seq, p.EgressAt, p.Marked = 9, 100, true
+	id := p.ID
+	a.Free(p)
+	q := a.New(1, 2, 64, 50)
+	if q.ID == id {
+		t.Fatalf("recycled packet kept ID %d", id)
+	}
+	if q.Flow != 1 || q.App != 2 || q.Size != 64 || q.SentAt != 50 ||
+		q.Seq != 0 || q.EgressAt != 0 || q.Marked || q.Tuple != TupleFor(2, 1) {
+		t.Fatalf("recycled packet not reset: %+v", q)
+	}
+	if fvassert.Enabled {
+		return // freed packets sit in quarantine first
+	}
+	if q != p {
+		t.Fatal("New did not reuse the freed packet")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		a.Free(a.New(1, 2, 64, 0))
+	})
+	if allocs != 0 {
+		t.Fatalf("New+Free allocated %.1f times per run, want 0", allocs)
 	}
 }

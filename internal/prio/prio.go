@@ -80,6 +80,9 @@ type Qdisc struct {
 	bands      []*pktq.FIFO
 	wireFreeNs int64
 	draining   bool
+	// tx is the packet on the wire. One transmission is in flight at a
+	// time: only its completion drains the next.
+	tx *packet.Packet
 
 	stats Stats
 }
@@ -124,14 +127,14 @@ func (q *Qdisc) Enqueue(p *packet.Packet) {
 	q.stats.Enqueued++
 	if !q.draining {
 		q.draining = true
-		q.eng.After(0, q.drain)
+		q.eng.Schedule(q.eng.Now(), (*drainEvent)(q), 0)
 	}
 }
 
 func (q *Qdisc) drain() {
 	now := q.eng.Now()
 	if now < q.wireFreeNs {
-		q.eng.At(q.wireFreeNs, q.drain)
+		q.eng.Schedule(q.wireFreeNs, (*drainEvent)(q), 0)
 		return
 	}
 	var p *packet.Packet
@@ -150,15 +153,32 @@ func (q *Qdisc) drain() {
 		txNs = q.cfg.ServiceNsPerPkt
 	}
 	q.wireFreeNs = now + int64(txNs)
-	done := q.wireFreeNs
-	q.eng.At(done, func() {
-		p.EgressAt = done
-		q.stats.Delivered++
-		if q.cb.OnDeliver != nil {
-			q.cb.OnDeliver(p)
-		}
-		q.drain()
-	})
+	q.tx = p
+	q.eng.Schedule(q.wireFreeNs, (*txEvent)(q), 0)
+}
+
+// The qdisc's DES events are typed (sim.Handler) conversions of the
+// qdisc itself, so a packet's transmission schedules no closure.
+type (
+	// drainEvent runs the drain loop.
+	drainEvent Qdisc
+	// txEvent delivers q.tx, which finished serializing at the event's
+	// time, and drains on.
+	txEvent Qdisc
+)
+
+func (e *drainEvent) Fire(uint64) { (*Qdisc)(e).drain() }
+
+func (e *txEvent) Fire(uint64) {
+	q := (*Qdisc)(e)
+	p := q.tx
+	q.tx = nil
+	p.EgressAt = q.eng.Now()
+	q.stats.Delivered++
+	if q.cb.OnDeliver != nil {
+		q.cb.OnDeliver(p)
+	}
+	q.drain()
 }
 
 // Backlog returns total queued packets.

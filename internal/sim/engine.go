@@ -2,9 +2,12 @@
 // drives every FlowValve experiment.
 //
 // The engine owns a virtual clock (see package clock) and a min-heap of
-// timestamped events. Events scheduled for the same instant fire in the
-// order they were scheduled, which — together with the seeded RNG in
-// rng.go — makes every simulation run byte-for-byte reproducible.
+// timestamped events. An event is a typed record — a Handler, a uint64
+// argument, a time and a sequence number — so scheduling one allocates
+// nothing; plain closures (Func) remain for cold paths. Events scheduled
+// for the same instant fire in the order they were scheduled, which —
+// together with the seeded RNG in rng.go — makes every simulation run
+// byte-for-byte reproducible.
 //
 // The engine is deliberately single-threaded: multi-core behaviour (NP
 // micro-engines, host CPU cores) is *modelled* with explicit cycle costs
@@ -19,68 +22,105 @@ import (
 	"flowvalve/internal/fvassert"
 )
 
+// Handler is a typed event target. Fire runs at the event's scheduled
+// virtual time with the argument it was scheduled with, and may schedule
+// further events.
+//
+// A component with per-packet events implements Handler on a pointer
+// type (usually a conversion of the component itself, e.g.
+// `type txEvent NIC`) and packs the event's identity — a ring index, a
+// port number, a sequence — into arg. Scheduling such an event stores a
+// pointer and a word in the event record, so the hot path allocates
+// nothing; a capturing closure would allocate on every event.
+type Handler interface {
+	Fire(arg uint64)
+}
+
 // Func is an event callback. It runs at its scheduled virtual time and may
-// schedule further events.
+// schedule further events. Func implements Handler (ignoring the
+// argument), so At and After are Schedule for cold paths and tests.
 type Func func()
+
+// Fire implements Handler.
+func (f Func) Fire(uint64) { f() }
 
 type event struct {
 	at  int64
 	seq uint64
-	fn  Func
+	h   Handler
+	arg uint64
+}
+
+// before orders events on (at, seq): time first, then scheduling order.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // eventHeap is a binary min-heap on (at, seq). It is typed rather than
 // driven through container/heap, so a push or pop moves the event by
 // value instead of boxing it into an interface — two allocations per
-// simulated event otherwise.
+// simulated event otherwise. Both sifts move a hole rather than swapping,
+// so each level costs one record copy instead of three.
 type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
 
 func (h *eventHeap) push(ev event) {
 	q := append(*h, ev)
-	for i := len(q) - 1; i > 0; {
+	i := len(q) - 1
+	for i > 0 {
 		p := (i - 1) / 2
-		if !q.less(i, p) {
+		if !ev.before(&q[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
 		i = p
 	}
+	q[i] = ev
 	*h = q
 }
 
-// pop removes and returns the earliest event. The vacated tail slot is
-// cleared so the heap's spare capacity does not keep finished closures
-// (and everything they capture) alive.
-func (h *eventHeap) pop() event {
+// pop removes the earliest event and returns its time, handler and
+// argument. It is Floyd's bottom-up deletion: the hole left at the root
+// walks down the smaller-child path to a leaf (one comparison a level),
+// and the displaced tail event then sifts up from there — usually not at
+// all, since a tail event is rarely early. The vacated tail slot is
+// cleared so the heap's spare capacity does not keep finished handlers
+// (and everything they reference) alive.
+func (h *eventHeap) pop() (int64, Handler, uint64) {
 	q := *h
+	top := &q[0]
+	at, hd, arg := top.at, top.h, top.arg
 	n := len(q) - 1
-	ev := q[0]
-	q[0] = q[n]
+	last := q[n]
 	q[n] = event{}
 	q = q[:n]
-	for i := 0; ; {
-		m := 2*i + 1
-		if m >= n {
-			break
+	if n > 0 {
+		i := 0
+		for {
+			m := 2*i + 1
+			if m >= n {
+				break
+			}
+			if r := m + 1; r < n && q[r].before(&q[m]) {
+				m = r
+			}
+			q[i] = q[m]
+			i = m
 		}
-		if r := m + 1; r < n && q.less(r, m) {
-			m = r
+		for i > 0 {
+			p := (i - 1) / 2
+			if !last.before(&q[p]) {
+				break
+			}
+			q[i] = q[p]
+			i = p
 		}
-		if !q.less(m, i) {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
+		q[i] = last
 	}
 	*h = q
-	return ev
+	return at, hd, arg
 }
 
 // Engine is a deterministic discrete-event simulator.
@@ -106,16 +146,19 @@ func (e *Engine) Clock() *clock.Manual { return e.clk }
 // Now returns the current virtual time in nanoseconds.
 func (e *Engine) Now() int64 { return e.clk.Now() }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the
-// past (before Now) panics: it indicates a logic error that would silently
-// corrupt causality if allowed.
-func (e *Engine) At(t int64, fn Func) {
+// Schedule arranges for h.Fire(arg) to run at absolute virtual time t.
+// Scheduling in the past (before Now) panics: it indicates a logic error
+// that would silently corrupt causality if allowed.
+func (e *Engine) Schedule(t int64, h Handler, arg uint64) {
 	if t < e.clk.Now() {
-		panic("sim: Engine.At schedules event in the past")
+		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, h: h, arg: arg})
 }
+
+// At schedules fn to run at absolute virtual time t (see Schedule).
+func (e *Engine) At(t int64, fn Func) { e.Schedule(t, fn, 0) }
 
 // After schedules fn to run d nanoseconds from now.
 func (e *Engine) After(d int64, fn Func) {
@@ -132,14 +175,14 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := e.events.pop()
-	if fvassert.Enabled && ev.at < e.clk.Now() {
+	at, h, arg := e.events.pop()
+	if fvassert.Enabled && at < e.clk.Now() {
 		fvassert.Failf("sim: event scheduled at t=%d fired with clock already at %d: causality violated",
-			ev.at, e.clk.Now())
+			at, e.clk.Now())
 	}
-	e.clk.Set(ev.at)
+	e.clk.Set(at)
 	e.fired++
-	ev.fn()
+	h.Fire(arg)
 	return true
 }
 

@@ -104,18 +104,33 @@ func TestHeapOrderMatchesStableSort(t *testing.T) {
 			}
 		}
 		for i, ev := range e.events[:cap(e.events)] {
-			if ev.fn != nil {
+			if ev.h != nil {
 				t.Fatalf("seed %d: drained heap still holds a callback in slot %d", seed, i)
 			}
 		}
 	}
 }
 
+// counter is a pointer Handler: the typed-event shape the NIC, the
+// generators and the TCP model use on their per-packet paths.
+type counter struct {
+	fired int
+	sum   uint64
+}
+
+func (c *counter) Fire(arg uint64) {
+	c.fired++
+	c.sum += arg
+}
+
 // Scheduling and firing an event allocates nothing once the heap has
-// grown: the event moves by value, never boxed into an interface.
+// grown, whether it is a closure (At/After) or a pointer Handler
+// (Schedule): the event moves by value, and both shapes sit in the
+// record's interface word without boxing.
 func TestAtStepAllocateNothing(t *testing.T) {
 	e := New()
 	fn := func() {}
+	h := &counter{}
 	for i := 0; i < 64; i++ {
 		e.After(int64(i), fn)
 	}
@@ -123,13 +138,43 @@ func TestAtStepAllocateNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.After(5, fn)
 		e.At(e.Now()+3, fn)
+		e.Schedule(e.Now()+4, h, 7)
+		e.Step()
 		e.Step()
 		e.Step()
 	})
 	if allocs != 0 {
-		t.Fatalf("At+Step allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("At+Schedule+Step allocated %.1f times per run, want 0", allocs)
+	}
+	if h.fired != 1001 || h.sum != 7*1001 {
+		t.Fatalf("handler fired %d times (arg sum %d), want 1001 (%d)", h.fired, h.sum, 7*1001)
 	}
 }
+
+// Typed events and closures share one (time, scheduling order) sequence.
+func TestScheduleInterleavesWithClosures(t *testing.T) {
+	e := New()
+	var order []uint64
+	h := handlerFunc(func(arg uint64) { order = append(order, arg) })
+	e.Schedule(10, h, 1)
+	e.At(10, func() { order = append(order, 2) })
+	e.Schedule(5, h, 0)
+	e.Schedule(10, h, 3)
+	e.Run()
+	want := []uint64{0, 1, 2, 3}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+}
+
+type handlerFunc func(uint64)
+
+func (f handlerFunc) Fire(arg uint64) { f(arg) }
 
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	e := New()

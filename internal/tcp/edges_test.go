@@ -50,8 +50,8 @@ func TestFlowStopBeforeStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	flows.Add(f)
-	f.StopAt(500)    // no-op: flow not yet running
-	f.StartAt(1000)  // real start
+	f.StopAt(500)   // no-op: flow not yet running
+	f.StartAt(1000) // real start
 	f.StopAt(100e6)
 	eng.RunUntil(200e6)
 

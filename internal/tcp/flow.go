@@ -136,23 +136,46 @@ func (f *Flow) pump() {
 }
 
 // OnDelivered must be called when a segment of this flow finishes wire
-// egress; the ACK returns after the remaining path RTT.
+// egress; the ACK returns after the remaining path RTT. The ACK event
+// carries the segment's sequence and congestion mark, not the packet, so
+// the caller may free p as soon as OnDelivered returns.
 func (f *Flow) OnDelivered(p *packet.Packet) {
-	f.eng.After(f.cfg.BaseRTTNs/2, func() { f.onAck(p) })
+	f.eng.Schedule(f.eng.Now()+f.cfg.BaseRTTNs/2, (*ackEvent)(f), segArg(p))
 }
 
-func (f *Flow) onAck(p *packet.Packet) {
+// segArg packs what the ACK and loss events need of a segment: its
+// sequence number and (low bit) its congestion mark. Every segment the
+// flow sends is SegBytes long.
+func segArg(p *packet.Packet) uint64 {
+	arg := p.Seq << 1
+	if p.Marked {
+		arg |= 1
+	}
+	return arg
+}
+
+// The flow's DES events are typed (sim.Handler) conversions of the flow
+// itself; the argument is segArg of the segment.
+type (
+	ackEvent  Flow
+	lossEvent Flow
+)
+
+func (e *ackEvent) Fire(arg uint64)  { (*Flow)(e).onAck(arg>>1, arg&1 != 0) }
+func (e *lossEvent) Fire(arg uint64) { (*Flow)(e).onLoss(arg >> 1) }
+
+func (f *Flow) onAck(seq uint64, marked bool) {
 	f.inflight--
 	if f.inflight < 0 {
 		f.inflight = 0
 	}
 	f.acked++
-	f.ackedByte += uint64(p.Size)
-	if p.Marked {
+	f.ackedByte += uint64(f.cfg.SegBytes)
+	if marked {
 		// ECN echo: multiplicative decrease, once per flight, without
 		// the retransmission gap a loss would cost.
 		f.marked++
-		if p.Seq > f.recoverSeq {
+		if seq > f.recoverSeq {
 			f.cwnd = f.cwnd / 2
 			if f.cwnd < 1 {
 				f.cwnd = 1
@@ -178,16 +201,16 @@ func (f *Flow) onAck(p *packet.Packet) {
 // Loss detection (duplicate ACKs) takes about one RTT; the reaction is a
 // single multiplicative decrease per flight.
 func (f *Flow) OnDropped(p *packet.Packet) {
-	f.eng.After(f.cfg.BaseRTTNs, func() { f.onLoss(p) })
+	f.eng.Schedule(f.eng.Now()+f.cfg.BaseRTTNs, (*lossEvent)(f), segArg(p))
 }
 
-func (f *Flow) onLoss(p *packet.Packet) {
+func (f *Flow) onLoss(seq uint64) {
 	f.inflight--
 	if f.inflight < 0 {
 		f.inflight = 0
 	}
 	f.lost++
-	if p.Seq > f.recoverSeq {
+	if seq > f.recoverSeq {
 		f.cwnd = f.cwnd / 2
 		if f.cwnd < 1 {
 			f.cwnd = 1

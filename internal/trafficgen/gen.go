@@ -7,6 +7,7 @@ package trafficgen
 
 import (
 	"fmt"
+	"math"
 
 	"flowvalve/internal/packet"
 	"flowvalve/internal/sim"
@@ -73,7 +74,7 @@ func (g *CBR) emit() {
 	p := g.pkts.New(g.flow, g.app, g.size, now)
 	g.Sent++
 	g.send(p)
-	g.eng.After(g.intervalNs, g.emit)
+	g.eng.Schedule(now+g.intervalNs, (*cbrTick)(g), 0)
 }
 
 // Stop halts the source at the given virtual time.
@@ -128,7 +129,7 @@ func NewSaturator(eng *sim.Engine, pkts *packet.Alloc, flows []packet.FlowID, ap
 	if s.intervalNs < 1 {
 		s.intervalNs = 1
 	}
-	eng.At(startNs, s.emit)
+	eng.Schedule(startNs, (*saturatorTick)(s), 0)
 	return s, nil
 }
 
@@ -141,7 +142,7 @@ func (s *Saturator) emit() {
 	s.next = (s.next + 1) % len(s.flows)
 	s.Sent++
 	s.send(p)
-	s.eng.After(s.intervalNs, s.emit)
+	s.eng.Schedule(now+s.intervalNs, (*saturatorTick)(s), 0)
 }
 
 // OnOff emits fixed-size packets at peakBps during exponentially
@@ -194,7 +195,7 @@ func NewOnOff(eng *sim.Engine, pkts *packet.Alloc, flow packet.FlowID, app packe
 		meanOffNs:  meanOffNs,
 		stopNs:     stopNs,
 	}
-	eng.At(startNs, g.togglePhase)
+	eng.Schedule(startNs, (*onOffToggle)(g), 0)
 	return g, nil
 }
 
@@ -217,7 +218,7 @@ func (g *OnOff) togglePhase() {
 	if g.on {
 		g.emit()
 	}
-	g.eng.At(g.phaseNs, g.togglePhase)
+	g.eng.Schedule(g.phaseNs, (*onOffToggle)(g), 0)
 }
 
 func (g *OnOff) emit() {
@@ -231,7 +232,7 @@ func (g *OnOff) emit() {
 	if gap < 1 {
 		gap = 1
 	}
-	g.eng.After(gap, g.emit)
+	g.eng.Schedule(now+gap, (*onOffTick)(g), 0)
 }
 
 // Churn emits a stream of short-lived "mouse" flows: new flows arrive as
@@ -289,7 +290,7 @@ func NewChurn(eng *sim.Engine, pkts *packet.Alloc, app packet.AppID, size int,
 		gapNs:      gapNs,
 		stopNs:     stopNs,
 	}
-	eng.At(startNs, g.arrive)
+	eng.Schedule(startNs, (*churnArrival)(g), 0)
 	return g, nil
 }
 
@@ -313,7 +314,7 @@ func (g *Churn) arrive() {
 	if next < 1 {
 		next = 1
 	}
-	g.eng.After(int64(next), g.arrive)
+	g.eng.Schedule(now+int64(next), (*churnArrival)(g), 0)
 }
 
 // emitFlow sends one packet of flow and re-arms for the remainder.
@@ -325,6 +326,29 @@ func (g *Churn) emitFlow(flow packet.FlowID, remaining int) {
 	g.Sent++
 	g.send(g.pkts.New(flow, g.app, g.size, now))
 	if remaining > 1 {
-		g.eng.After(g.gapNs, func() { g.emitFlow(flow, remaining-1) })
+		g.eng.Schedule(now+g.gapNs, (*churnEmit)(g), uint64(flow)<<32|uint64(remaining-1))
 	}
+}
+
+// The generators' DES events are typed (sim.Handler) conversions of the
+// generators themselves, so an emission tick schedules no closure.
+type (
+	cbrTick       CBR
+	saturatorTick Saturator
+	onOffToggle   OnOff
+	onOffTick     OnOff
+	churnArrival  Churn
+	// churnEmit sends one mouse packet; its argument packs the flow ID
+	// (high 32 bits) and the packets still to send (low 32 bits).
+	churnEmit Churn
+)
+
+func (e *cbrTick) Fire(uint64)       { (*CBR)(e).emit() }
+func (e *saturatorTick) Fire(uint64) { (*Saturator)(e).emit() }
+func (e *onOffToggle) Fire(uint64)   { (*OnOff)(e).togglePhase() }
+func (e *onOffTick) Fire(uint64)     { (*OnOff)(e).emit() }
+func (e *churnArrival) Fire(uint64)  { (*Churn)(e).arrive() }
+
+func (e *churnEmit) Fire(arg uint64) {
+	(*Churn)(e).emitFlow(packet.FlowID(arg>>32), int(arg&math.MaxUint32))
 }
