@@ -148,12 +148,28 @@ func (t *Tracer) Record(ev Event) {
 	t.writeShard(sh, ev)
 }
 
-// Write stores one pre-sampled event (pair with ShouldSample).
+// Write stores one pre-sampled event (pair with ShouldSample). Its lane
+// is keyed by the event's class rather than by the writer's stack: the
+// caller's stream counter already chose the sample, so what the rings
+// retain is then a function of the decision stream alone. (A stack-keyed
+// lane moves whenever the runtime grows or shrinks the writer's stack,
+// so a seeded simulation would retain different samples depending on
+// when the garbage collector ran.)
 func (t *Tracer) Write(ev Event) {
 	if t == nil {
 		return
 	}
-	t.writeShard(&t.shards[laneFor(ev.Verdict, uintptr(shardIndex()))], ev)
+	t.writeShard(&t.shards[laneFor(ev.Verdict, classHint(ev.Class))], ev)
+}
+
+// classHint hashes a class name (FNV-1a) into a lane hint.
+func classHint(class string) uintptr {
+	h := uint32(2166136261)
+	for i := 0; i < len(class); i++ {
+		h ^= uint32(class[i])
+		h *= 16777619
+	}
+	return uintptr(h)
 }
 
 func (t *Tracer) writeShard(sh *traceShard, ev Event) {
